@@ -29,7 +29,6 @@ from .scores import (
     ScoreOracle,
     ExactScoreOracle,
     PerturbedScoreOracle,
-    TabularScoreOracle,
     perturb,
     score_entropy_loss,
     calibrate_noise_scale,
@@ -42,8 +41,6 @@ from .sampler import (
     SampleResult,
     beta_value,
     build_partition,
-    truncated_rates,
-    uniformize_segment,
     sample,
     euler_sample,
     exact_reverse_marginal,

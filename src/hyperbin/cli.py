@@ -167,9 +167,9 @@ def cmd_sample(args) -> int:
     n_samples = int(config.get("n_samples", 1000))
     if run_config.method == "euler":
         n_steps = int(config.get("n_steps", 64))
-        result = euler_sample(run_config, oracle, n_steps, n_samples, jobs=args.jobs)
+        result = euler_sample(run_config, oracle, n_steps, n_samples)
     else:
-        result = sample(run_config, oracle, n_samples, jobs=args.jobs)
+        result = sample(run_config, oracle, n_samples)
     out = _out_dir(args, config)
     header = [f"config_hash={chash}"]
     write_samples_csv(out / "samples.csv", result, header_lines=header)
@@ -261,7 +261,6 @@ def main(argv=None) -> int:
     p_sample.add_argument("--seed", type=int, default=None)
     p_sample.add_argument("--out", default=None)
     p_sample.add_argument("--method", choices=["uniformization", "euler"], default=None)
-    p_sample.add_argument("--jobs", type=int, default=1)
     p_sample.set_defaults(func=cmd_sample)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")

@@ -92,13 +92,17 @@ def derive_spec(d: int, sigma: float, H: float, m0: float, eps: float) -> Quanti
 
 
 def quantize_point(spec: QuantizerSpec, x: np.ndarray) -> np.ndarray:
-    """Grid index of a point (or batch of points); out-of-cube coordinates
-    clamp to the boundary cell, so the map is total."""
+    """Grid index of a point (or batch of points); finite out-of-cube
+    coordinates, however large, clamp to the boundary cell. Non-finite
+    coordinates raise ValueError."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != spec.d:
         raise ValueError(f"point has {x.shape[-1]} coordinates, expected {spec.d}")
-    idx = np.floor((x + spec.L) / spec.l).astype(np.int64)
-    return np.clip(idx, 0, spec.K - 1)
+    if not np.isfinite(x).all():
+        raise ValueError("point coordinates must be finite")
+    # Clip in float first: casting a float beyond the int64 range is undefined.
+    x = np.clip(x, -spec.L, spec.L)
+    return np.clip(np.floor((x + spec.L) / spec.l).astype(np.int64), 0, spec.K - 1)
 
 
 def vbin_encode(spec: QuantizerSpec, index: np.ndarray) -> np.ndarray:
@@ -176,7 +180,8 @@ def load_spec(path) -> QuantizerSpec:
 
 def read_points_csv(path) -> np.ndarray:
     """Read an (N, d) point set: one row per point, float columns, optional
-    header row. Malformed rows are reported with their line number."""
+    header row. Malformed rows and non-finite values (nan, inf) are
+    reported with their line number."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -186,9 +191,12 @@ def read_points_csv(path) -> np.ndarray:
             if row and row[0].startswith("#"):
                 continue
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise ValueError(f"{path}: row {line_no}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: row {line_no}: non-finite value")
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     width = len(rows[0])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -26,8 +27,10 @@ from .scores import ScoreOracle
 
 BETA_MODES = ("standard", "tight")
 
-# Replica count above which sample() switches to the chunk-batched engine.
+# Not read by the sampler; kept because the benchmark (perfbench/workloads.py)
+# imports it to label its ops.
 BATCH_THRESHOLD = 512
+# Replicas per chunk; each chunk has its own RNG stream.
 DEFAULT_CHUNK = 1 << 16
 
 
@@ -198,57 +201,6 @@ class SampleResult:
     stats: RunStats
 
 
-def truncated_rates(
-    oracle: ScoreOracle, t: float, state: np.ndarray, beta: float
-) -> tuple[np.ndarray, float]:
-    """Per-flip reverse rates at (t, state), rescaled so their total never
-    exceeds beta; returns (rates, total)."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    rates = oracle.ratio_all(t, np.asarray(state, dtype=np.uint8)[None, :])[0]
-    total = float(rates.sum())
-    if total > beta:
-        rates = rates * (beta / total)
-        total = beta
-    return rates, total
-
-
-def uniformize_segment(
-    oracle: ScoreOracle,
-    y_in: np.ndarray,
-    t_lo: float,
-    t_hi: float,
-    beta: float,
-    rng: np.random.Generator,
-    stats: RunStats,
-) -> np.ndarray:
-    """Advance one replica across a segment; reference single-replica path."""
-    if not t_lo < t_hi:
-        raise ValueError("need t_lo < t_hi")
-    D = oracle.n_bits
-    z = np.asarray(y_in, dtype=np.uint8).copy()
-    n_events = int(rng.poisson(beta * (t_hi - t_lo)))
-    if n_events == 0:
-        return z
-    times = np.sort(rng.random(n_events) * (t_hi - t_lo) + t_lo, kind="stable")
-    for tau in times:
-        raw = oracle.ratio_all(float(tau), z[None, :])[0]
-        total = float(raw.sum())
-        if total > beta:
-            raw = raw * (beta / total)
-            total = beta
-            stats.truncation_activations += 1
-        u = rng.random()
-        cum = np.cumsum(raw) / beta
-        if u < cum[-1]:
-            flip = int(np.searchsorted(cum, u, side="right"))
-            z[flip] ^= 1
-            stats.accepted_moves += 1
-        stats.poisson_events += 1
-        stats.score_evals += D
-    return z
-
-
 def _chunk_rng(seed: int, tag: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag, index)))
 
@@ -275,6 +227,47 @@ def _initial_states(
     return index_to_state(idx, D)
 
 
+def _jump(
+    states: np.ndarray,
+    rows: np.ndarray,
+    rates: np.ndarray,
+    beta: float,
+    h: float | None,
+    rng: np.random.Generator,
+    stats: RunStats,
+) -> None:
+    """One truncate-and-choose-flip step for replicas `rows` of `states`.
+
+    `rates` (overwritten) holds the oracle's per-flip rates for those rows.
+    Each row's total is capped at beta; row r then flips bit i with
+    probability rate_i / beta (uniformization, h=None) or h * rate_i,
+    rescaled to total at most 1 and counted in `clipped_steps` (Euler).
+    One uniform is drawn per row; each rate counts as one score evaluation.
+    """
+    total = rates.sum(axis=1)
+    over = total > beta
+    if over.any():
+        rates[over] *= (beta / total[over])[:, None]
+        stats.truncation_activations += int(over.sum())
+    if h is None:
+        cum = np.cumsum(rates, axis=1)
+        cum /= beta
+    else:
+        rates *= h
+        ptot = rates.sum(axis=1)
+        clipped = ptot > 1.0
+        if clipped.any():
+            rates[clipped] /= ptot[clipped][:, None]
+            stats.clipped_steps += int(clipped.sum())
+        cum = np.cumsum(rates, axis=1)
+    u = rng.random(len(rows))
+    moved = u < cum[:, -1]
+    flips = np.argmax(u[:, None] < cum, axis=1)
+    states[rows[moved], flips[moved]] ^= 1
+    stats.accepted_moves += int(moved.sum())
+    stats.score_evals += rates.size
+
+
 def _uniformize_chunk(
     oracle: ScoreOracle,
     partition: TimePartition,
@@ -287,7 +280,7 @@ def _uniformize_chunk(
     slots: slot k touches every replica that drew at least k events in the
     current segment.
     """
-    B, D = states.shape
+    B = len(states)
     stats = RunStats(events_per_segment=np.zeros(partition.n_segments, dtype=np.int64))
     for w, (t_lo, t_hi, beta) in enumerate(partition.segments()):
         counts = rng.poisson(beta * (t_hi - t_lo), size=B)
@@ -299,22 +292,9 @@ def _uniformize_chunk(
         times.sort(axis=1, kind="stable")
         for k in range(max_events):
             active = np.flatnonzero(counts > k)
-            tau = times[active, k]
-            rates = oracle.ratio_all(tau, states[active])
-            total = rates.sum(axis=1)
-            over = total > beta
-            if over.any():
-                rates[over] *= (beta / total[over])[:, None]
-                stats.truncation_activations += int(over.sum())
-            cum = np.cumsum(rates, axis=1) / beta
-            u = rng.random(len(active))
-            moved = u < cum[:, -1]
-            flips = np.argmax(u[:, None] < cum, axis=1)
-            rows = active[moved]
-            states[rows, flips[moved]] ^= 1
-            stats.accepted_moves += int(moved.sum())
+            rates = oracle.ratio_all(times[active, k], states[active])
+            _jump(states, active, rates, beta, None, rng, stats)
             stats.poisson_events += len(active)
-            stats.score_evals += len(active) * D
         stats.events_per_segment[w] += int(counts.sum())
     return stats
 
@@ -328,37 +308,32 @@ def _euler_chunk(
 ) -> RunStats:
     B, D = states.shape
     stats = RunStats()
+    rows = np.arange(B)
     h = (config.T - config.delta) / n_steps
     for k in range(n_steps):
         t = k * h
         beta = beta_value(D, config.T, t, config.beta_mode)
-        rates = oracle.ratio_all(t, states)
-        total = rates.sum(axis=1)
-        over = total > beta
-        if over.any():
-            rates[over] *= (beta / total[over])[:, None]
-            stats.truncation_activations += int(over.sum())
-        probs = h * rates
-        ptot = probs.sum(axis=1)
-        clipped = ptot > 1.0
-        if clipped.any():
-            probs[clipped] /= ptot[clipped][:, None]
-            stats.clipped_steps += int(clipped.sum())
-        cum = np.cumsum(probs, axis=1)
-        u = rng.random(B)
-        moved = u < cum[:, -1]
-        flips = np.argmax(u[:, None] < cum, axis=1)
-        states[np.flatnonzero(moved), flips[moved]] ^= 1
-        stats.accepted_moves += int(moved.sum())
-        stats.score_evals += B * D
+        _jump(states, rows, oracle.ratio_all(t, states), beta, h, rng, stats)
     return stats
 
 
-def _run_chunks(config, oracle, n_samples, runner, chunk_size, jobs, rng_tag):
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _run_chunks(config, oracle, n_samples, runner, rng_tag):
+    """Run `runner` on chunks of DEFAULT_CHUNK replicas, each with its own
+    RNG stream, so the output does not depend on how many threads run them."""
     D = config.n_bits
     states = np.empty((n_samples, D), dtype=np.uint8)
     x = np.empty((n_samples, config.spec.d))
-    bounds = [(lo, min(lo + chunk_size, n_samples)) for lo in range(0, n_samples, chunk_size)]
+    # An empty run still makes one (empty) chunk, so it reports zero counts.
+    starts = range(0, max(n_samples, 1), DEFAULT_CHUNK)
+    bounds = [(lo, min(lo + DEFAULT_CHUNK, n_samples)) for lo in starts]
     terminal = _terminal_probs(config, oracle)
 
     def run_one(chunk_index: int) -> RunStats:
@@ -370,8 +345,9 @@ def _run_chunks(config, oracle, n_samples, runner, chunk_size, jobs, rng_tag):
         x[lo:hi] = dequantize_sample(config.spec, grid, rng)
         return stats
 
-    if jobs > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    workers = min(len(bounds), _available_cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             chunk_stats = list(pool.map(run_one, range(len(bounds))))
     else:
         chunk_stats = [run_one(i) for i in range(len(bounds))]
@@ -381,89 +357,40 @@ def _run_chunks(config, oracle, n_samples, runner, chunk_size, jobs, rng_tag):
     return SampleResult(x=x, states=states, stats=total)
 
 
-def sample(
-    config: SamplerConfig,
-    oracle: ScoreOracle,
-    n_samples: int,
-    engine: str = "auto",
-    chunk_size: int = DEFAULT_CHUNK,
-    jobs: int = 1,
-) -> SampleResult:
+def sample(config: SamplerConfig, oracle: ScoreOracle, n_samples: int) -> SampleResult:
     """Run the uniformization sampler for n_samples replicas.
 
     Every replica starts from the configured initial law, traverses the
     partition segment by segment, and is decoded to a continuous point by
     inverting the binary encoding and drawing uniformly inside the cell.
-    `engine="replica"` gives each replica its own RNG stream (reference
-    path); "batched" advances replicas in lockstep chunks with one stream
-    per chunk, which is the fast path and the default above
-    BATCH_THRESHOLD replicas. Both are deterministic given the seed but
-    produce different (equally distributed) draws.
+    Replicas advance in lockstep chunks of DEFAULT_CHUNK, one RNG stream
+    per chunk; chunks run on the available CPUs. The output is
+    deterministic given the seed and independent of the thread count.
     """
     if config.method != "uniformization":
         raise ValueError("config.method must be 'uniformization' for sample()")
     if oracle.n_bits != config.n_bits:
         raise ValueError("oracle and quantizer disagree on state size")
-    if n_samples == 0:
-        return SampleResult(
-            x=np.empty((0, config.spec.d)),
-            states=np.empty((0, config.n_bits), dtype=np.uint8),
-            stats=RunStats(events_per_segment=np.zeros(config.partition().n_segments, np.int64)),
-        )
-    if engine == "auto":
-        engine = "batched" if n_samples > BATCH_THRESHOLD else "replica"
     partition = config.partition()
-
-    if engine == "batched":
-        runner = lambda states, rng: _uniformize_chunk(oracle, partition, states, rng)
-        return _run_chunks(config, oracle, n_samples, runner, chunk_size, jobs, rng_tag=2)
-
-    if engine != "replica":
-        raise ValueError(f"unknown engine {engine!r}")
-    D = config.n_bits
-    states = np.empty((n_samples, D), dtype=np.uint8)
-    x = np.empty((n_samples, config.spec.d))
-    total = RunStats(events_per_segment=np.zeros(partition.n_segments, dtype=np.int64))
-    terminal = _terminal_probs(config, oracle)
-    for r in range(n_samples):
-        rng = _chunk_rng(config.seed, 1, r)
-        z = _initial_states(config, 1, rng, terminal)[0]
-        for w, (t_lo, t_hi, beta) in enumerate(partition.segments()):
-            before = total.poisson_events
-            z = uniformize_segment(oracle, z, t_lo, t_hi, beta, rng, total)
-            total.events_per_segment[w] += total.poisson_events - before
-        states[r] = z
-        grid = vbin_decode(config.spec, z)
-        x[r] = dequantize_sample(config.spec, grid, rng)
-    return SampleResult(x=x, states=states, stats=total)
+    runner = lambda states, rng: _uniformize_chunk(oracle, partition, states, rng)
+    return _run_chunks(config, oracle, n_samples, runner, rng_tag=2)
 
 
 def euler_sample(
-    config: SamplerConfig,
-    oracle: ScoreOracle,
-    n_steps: int,
-    n_samples: int,
-    chunk_size: int = DEFAULT_CHUNK,
-    jobs: int = 1,
+    config: SamplerConfig, oracle: ScoreOracle, n_steps: int, n_samples: int
 ) -> SampleResult:
     """Fixed-step baseline: n_steps equal steps over [0, T - delta]; at
     each step the state jumps to neighbor i with probability h * rate_i
     (rescaled to total at most 1, rescaling counted in `clipped_steps`).
     Biased for finite n_steps, converging to the uniformization law as
-    n_steps grows."""
+    n_steps grows. Chunking and threads are as in :func:`sample`."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if oracle.n_bits != config.n_bits:
         raise ValueError("oracle and quantizer disagree on state size")
-    if n_samples == 0:
-        return SampleResult(
-            x=np.empty((0, config.spec.d)),
-            states=np.empty((0, config.n_bits), dtype=np.uint8),
-            stats=RunStats(),
-        )
     cfg = replace(config, method="euler") if config.method != "euler" else config
     runner = lambda states, rng: _euler_chunk(oracle, cfg, n_steps, states, rng)
-    return _run_chunks(cfg, oracle, n_samples, runner, chunk_size, jobs, rng_tag=3)
+    return _run_chunks(cfg, oracle, n_samples, runner, rng_tag=3)
 
 
 def exact_reverse_marginal(initial: EmpiricalInitial, T: float, t: float) -> np.ndarray:

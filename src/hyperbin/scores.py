@@ -8,17 +8,14 @@ dominant Hamming exponent factored out (the multiplicative form of a
 max-subtracted log-sum-exp), so it never materializes 2^D vectors and
 survives large D and small T - t. The perturbed oracle multiplies exact
 ratios by exp(xi) with bounded, reproducible noise, emulating a trained
-score model of controllable quality; the tabular oracle serves ratios
-from a (time bucket, state, flip) table.
+score model of controllable quality.
 """
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
-from .bits import all_states, hamming_to_rows, splitmix64, state_key, state_to_index
+from .bits import all_states, hamming_to_rows, splitmix64, state_key
 from .chain import EmpiricalInitial, flip_probability, marginal_at
 
 # Elementwise budget for the (batch, support) mixture-term array.
@@ -168,64 +165,6 @@ def perturb(
     """Wrap `oracle` with reproducible bounded log-noise; see
     :class:`PerturbedScoreOracle`."""
     return PerturbedScoreOracle(oracle, noise_scale, seed, n_buckets)
-
-
-class TabularScoreOracle(ScoreOracle):
-    """Ratios stored per (time bucket, state index, flip); small-D only."""
-
-    def __init__(self, T: float, n_bits: int, table: np.ndarray):
-        table = np.asarray(table, dtype=np.float64)
-        if table.ndim != 3 or table.shape[1] != 1 << n_bits or table.shape[2] != n_bits:
-            raise ValueError("table must have shape (n_buckets, 2^D, D)")
-        if (table <= 0).any() or not np.isfinite(table).all():
-            raise ValueError("tabulated ratios must be positive and finite")
-        self.T = float(T)
-        self.n_bits = n_bits
-        self.table = table
-        self.n_buckets = table.shape[0]
-
-    @classmethod
-    def from_oracle(
-        cls, oracle: ScoreOracle, n_buckets: int = DEFAULT_TIME_BUCKETS
-    ) -> "TabularScoreOracle":
-        """Tabulate an oracle at bucket midpoints."""
-        D = oracle.n_bits
-        states = all_states(D)
-        mids = (np.arange(n_buckets) + 0.5) / n_buckets * oracle.T
-        table = np.stack([oracle.ratio_all(t, states) for t in mids])
-        return cls(oracle.T, D, table)
-
-    def ratio_all(self, t, states) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=np.uint8))
-        B = states.shape[0]
-        t = np.broadcast_to(np.asarray(t, dtype=np.float64), (B,))
-        bucket = np.clip((t / self.T * self.n_buckets).astype(np.int64), 0, self.n_buckets - 1)
-        return self.table[bucket, state_to_index(states), :]
-
-    def to_csv(self, path, header_lines: list[str] | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            for line in header_lines or []:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["t_bucket", "state_index", "flip_index", "ratio"])
-            for b in range(self.n_buckets):
-                for s in range(self.table.shape[1]):
-                    for i in range(self.n_bits):
-                        writer.writerow([b, s, i, repr(float(self.table[b, s, i]))])
-
-    @classmethod
-    def from_csv(cls, path, T: float, n_bits: int) -> "TabularScoreOracle":
-        entries = []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].startswith("#") or row[0] == "t_bucket":
-                    continue
-                entries.append((int(row[0]), int(row[1]), int(row[2]), float(row[3])))
-        n_buckets = max(e[0] for e in entries) + 1
-        table = np.zeros((n_buckets, 1 << n_bits, n_bits))
-        for b, s, i, r in entries:
-            table[b, s, i] = r
-        return cls(T, n_bits, table)
 
 
 def score_entropy_loss(

@@ -67,6 +67,17 @@ class TestQuantizeCommand:
         assert main(["quantize", "--config", config, "--out", str(tmp_path / "o")]) == 4
         assert "row 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_row_exits_4(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"0.5\n{value}\n")
+        config = write_config(
+            tmp_path / "c.json",
+            {"target": {"csv": str(bad)}, "quantizer": {"d": 1, "L": 2.0, "K": 8}},
+        )
+        assert main(["quantize", "--config", config, "--out", str(tmp_path / "o")]) == 4
+        assert "row 2" in capsys.readouterr().err
+
     def test_missing_file_exits_4(self, tmp_path):
         config = write_config(
             tmp_path / "c.json",
@@ -114,12 +125,6 @@ class TestSampleCommand:
         assert main(["sample", "--config", sample_config, "--out", str(out2)]) == 0
         assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
         assert (out1 / "stats.csv").read_bytes() == (out2 / "stats.csv").read_bytes()
-
-    def test_jobs_do_not_change_bytes(self, tmp_path, sample_config):
-        out1, out2 = tmp_path / "j1", tmp_path / "j2"
-        main(["sample", "--config", sample_config, "--out", str(out1), "--jobs", "1"])
-        main(["sample", "--config", sample_config, "--out", str(out2), "--jobs", "3"])
-        assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
 
     def test_both_methods_emit_n_rows(self, tmp_path, sample_config):
         for method in ("uniformization", "euler"):

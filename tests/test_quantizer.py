@@ -79,6 +79,13 @@ class TestQuantizePoint:
     def test_out_of_cube_clamps(self):
         assert quantize_point(self.spec, np.array([-7.5])) == np.array([0])
         assert quantize_point(self.spec, np.array([9.0])) == np.array([3])
+        assert quantize_point(self.spec, np.array([1e300])) == np.array([3])
+        assert quantize_point(self.spec, np.array([-1e300])) == np.array([0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            quantize_point(self.spec, np.array([[0.3], [value]]))
 
     def test_batched(self):
         pts = np.array([[0.3], [-2.0], [1.999]])
@@ -233,6 +240,13 @@ class TestSerialization:
         path = tmp_path / "pts.csv"
         path.write_text("0.5\noops\n1.0\n")
         with pytest.raises(ValueError, match="row 2"):
+            read_points_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_points_csv_rejects_non_finite(self, tmp_path, value):
+        path = tmp_path / "pts.csv"
+        path.write_text(f"x0,x1\n0.5,1.5\n0.25,{value}\n")
+        with pytest.raises(ValueError, match="row 3: non-finite"):
             read_points_csv(path)
 
     def test_states_csv_round_trip(self, tmp_path, rng):

@@ -1,16 +1,19 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from conftest import random_initial
+from hyperbin import sampler
 from hyperbin.bits import all_states, state_to_index
 from hyperbin.chain import EmpiricalInitial, marginal_at
 from hyperbin.metrics import EmpiricalLaw, tv_exact, tv_plugin
 from hyperbin.quantizer import QuantizerSpec
 from hyperbin.sampler import (
-    RunStats,
     SamplerConfig,
     TimePartition,
     _uniformize_chunk,
@@ -19,8 +22,6 @@ from hyperbin.sampler import (
     euler_sample,
     exact_reverse_marginal,
     sample,
-    truncated_rates,
-    uniformize_segment,
     write_samples_csv,
     write_stats_csv,
 )
@@ -125,16 +126,43 @@ class TestBuildPartition:
         assert np.allclose(part_tight.betas, 4 * (1 + 1 / rem))
 
 
-class TestTruncatedRates:
-    def test_no_truncation_branch(self):
-        oracle = FixedRateOracle([3.0, 5.0])
-        rates, total = truncated_rates(oracle, 1.0, np.zeros(2, np.uint8), beta=10.0)
-        assert rates.tolist() == [3.0, 5.0] and total == 8.0
+def one_segment(t_hi, beta, D, T):
+    """Partition [0, t_hi] as a single segment with cap beta."""
+    return TimePartition(
+        times=np.array([0.0, t_hi]), betas=np.array([beta]), T=T, delta=T - t_hi, n_bits=D
+    )
 
-    def test_truncation_rescales(self):
-        oracle = FixedRateOracle([12.0, 8.0])
-        rates, total = truncated_rates(oracle, 1.0, np.zeros(2, np.uint8), beta=10.0)
-        assert rates.tolist() == [6.0, 4.0] and total == 10.0
+
+def assert_independent_flip_law(states, rates, dt):
+    """Under constant per-bit rates each bit flips as its own Poisson
+    process, so from all-zero states P(bit i = 1) = (1 - e^(-2 r_i dt)) / 2."""
+    n = len(states)
+    p = (1.0 - np.exp(-2.0 * np.asarray(rates) * dt)) / 2.0
+    sigma = np.sqrt(p * (1 - p) / n)
+    assert (np.abs(states.mean(axis=0) - p) < 4 * sigma).all()
+
+
+class TestTruncatedRates:
+    """Rate capping in the shared truncate-and-choose-flip step."""
+
+    def test_no_truncation_branch(self, rng):
+        rates, dt = [3.0, 5.0], 0.05
+        states = np.zeros((20_000, 2), dtype=np.uint8)
+        part = one_segment(dt, 10.0, 2, 10.0)
+        stats = _uniformize_chunk(FixedRateOracle(rates), part, states, rng)
+        assert stats.truncation_activations == 0 and stats.clipped_steps == 0
+        assert_independent_flip_law(states, rates, dt)
+
+    def test_truncation_rescales(self, rng):
+        # total 20 > beta = 10: every event truncates to rates [6, 4] and moves
+        dt = 0.05
+        states = np.zeros((20_000, 2), dtype=np.uint8)
+        part = one_segment(dt, 10.0, 2, 10.0)
+        stats = _uniformize_chunk(FixedRateOracle([12.0, 8.0]), part, states, rng)
+        assert stats.poisson_events > 0
+        assert stats.truncation_activations == stats.accepted_moves == stats.poisson_events
+        assert stats.clipped_steps == 0
+        assert_independent_flip_law(states, [6.0, 4.0], dt)
 
     def test_exact_oracle_never_truncates(self, rng):
         # dense check: the exact total rate stays below the tight bound,
@@ -154,18 +182,20 @@ class TestTruncatedRates:
 class TestUniformizeSegment:
     def test_no_events_returns_input(self, rng):
         oracle = uniform_support_oracle(3, T=5.0)
-        y = np.array([1, 0, 1], dtype=np.uint8)
-        stats = RunStats()
-        out = uniformize_segment(oracle, y, 0.0, 1e-12, beta=1.0, rng=rng, stats=stats)
-        assert np.array_equal(out, y) and stats.poisson_events == 0
+        y = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
+        states = y.copy()
+        stats = _uniformize_chunk(oracle, one_segment(1e-12, 1.0, 3, 5.0), states, rng)
+        assert np.array_equal(states, y) and stats.poisson_events == 0
 
     def test_stats_accounting(self, rng):
         D = 4
         oracle = uniform_support_oracle(D, T=5.0)
-        stats = RunStats()
-        uniformize_segment(oracle, np.zeros(D, np.uint8), 0.0, 2.0, beta=10.0, rng=rng, stats=stats)
+        states = np.zeros((50, D), dtype=np.uint8)
+        stats = _uniformize_chunk(oracle, one_segment(2.0, 10.0, D, 5.0), states, rng)
+        assert stats.poisson_events > 0
         assert stats.score_evals == D * stats.poisson_events
         assert stats.accepted_moves <= stats.poisson_events
+        assert stats.events_per_segment.tolist() == [stats.poisson_events]
         assert stats.truncation_activations == 0
 
     def test_uniform_oracle_flip_frequency(self, rng):
@@ -173,10 +203,7 @@ class TestUniformizeSegment:
         D, beta = 4, 16.0
         oracle = uniform_support_oracle(D, T=200.0)
         states = np.zeros((2000, D), dtype=np.uint8)
-        part = TimePartition(
-            times=np.array([0.0, 3.2]), betas=np.array([beta]), T=200.0, delta=196.8, n_bits=D
-        )
-        stats = _uniformize_chunk(oracle, part, states, rng)
+        stats = _uniformize_chunk(oracle, one_segment(3.2, beta, D, 200.0), states, rng)
         freq = stats.accepted_moves / stats.poisson_events
         p = D / beta
         sigma = math.sqrt(p * (1 - p) / stats.poisson_events)
@@ -195,14 +222,7 @@ class TestUniformizeSegment:
 
         n = 100_000
         states = np.tile(y_in, (n, 1))
-        part = TimePartition(
-            times=np.array([0.0, seg_end]),
-            betas=np.array([beta]),
-            T=T,
-            delta=T - seg_end,
-            n_bits=D,
-        )
-        stats = _uniformize_chunk(oracle, part, states, rng)
+        stats = _uniformize_chunk(oracle, one_segment(seg_end, beta, D, T), states, rng)
         counts = np.bincount(state_to_index(states), minlength=1 << D)
 
         q0 = np.zeros(1 << D)
@@ -245,15 +265,22 @@ class TestSample:
         a = sample(config, oracle, 3000)
         b = sample(config, oracle, 3000)
         assert np.array_equal(a.states, b.states) and np.array_equal(a.x, b.x)
-        c = sample(config, oracle, 100, engine="replica")
-        d = sample(config, oracle, 100, engine="replica")
+        c = sample(config, oracle, 100)
+        d = sample(config, oracle, 100)
         assert np.array_equal(c.states, d.states) and np.array_equal(c.x, d.x)
 
-    def test_jobs_do_not_change_output(self):
+    def test_thread_count_does_not_change_output(self):
         config, oracle, _ = self._instance()
-        a = sample(config, oracle, 5000, chunk_size=1024, jobs=1)
-        b = sample(config, oracle, 5000, chunk_size=1024, jobs=4)
+        runs = []
+        for cpus in (1, 2):
+            with mock.patch.object(sampler, "DEFAULT_CHUNK", 1024), mock.patch.object(
+                sampler, "_available_cpus", lambda: cpus
+            ):
+                runs.append(sample(config, oracle, 5000))
+        a, b = runs
         assert np.array_equal(a.states, b.states) and np.array_equal(a.x, b.x)
+        assert a.stats.poisson_events == b.stats.poisson_events
+        assert np.array_equal(a.stats.events_per_segment, b.stats.events_per_segment)
 
     def test_mean_events_within_poisson_concentration(self):
         config, oracle, _ = self._instance()
@@ -274,9 +301,9 @@ class TestSample:
         assert tv < 0.02
         assert result.stats.truncation_activations == 0
 
-    def test_replica_engine_agrees_with_exact_law(self):
+    def test_small_run_agrees_with_exact_law(self):
         config, oracle, initial = self._instance(init="exact-terminal")
-        result = sample(config, oracle, 400, engine="replica")
+        result = sample(config, oracle, 400)
         target = exact_reverse_marginal(initial, config.T, config.T - config.delta)
         tv = tv_plugin(EmpiricalLaw.from_indices(state_to_index(result.states)), target)
         assert tv < 0.1  # multinomial slack at 400 replicas
@@ -295,6 +322,34 @@ class TestSample:
         config, _, _ = self._instance()
         with pytest.raises(ValueError):
             sample(config, FixedRateOracle([1.0] * 3, T=config.T), 10)
+
+
+class TestKernelProperties:
+    @given(
+        D=st.integers(1, 8),
+        support=st.integers(1, 6),
+        n=st.integers(1, 600),
+        chunk=st.integers(16, 256),
+        seed=st.integers(0, 2**32 - 1),
+        tight=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_work_counters(self, D, support, n, chunk, seed, tight):
+        # n spans small runs and several chunks of a shrunken DEFAULT_CHUNK
+        rng = np.random.default_rng(seed)
+        initial = random_initial(rng, D, support)
+        spec = QuantizerSpec.from_grid(d=1, L=1.0, K=1 << D)
+        config = SamplerConfig(
+            spec=spec, eps=0.1, T=2.0, delta=0.05, seed=seed,
+            beta_mode="tight" if tight else "standard",
+        )
+        with mock.patch.object(sampler, "DEFAULT_CHUNK", chunk):
+            stats = sample(config, ExactScoreOracle(initial, config.T), n).stats
+        assert stats.score_evals == D * stats.poisson_events
+        assert stats.accepted_moves <= stats.poisson_events
+        assert stats.events_per_segment.sum() == stats.poisson_events
+        assert stats.truncation_activations == 0
+        assert stats.clipped_steps == 0
 
 
 class TestExactReverseMarginal:

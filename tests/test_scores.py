@@ -10,7 +10,6 @@ from hyperbin.scores import (
     ExactScoreOracle,
     PerturbedScoreOracle,
     ScoreOracle,
-    TabularScoreOracle,
     bregman_phi,
     calibrate_noise_scale,
     perturb,
@@ -247,26 +246,3 @@ class TestPerturbedOracle:
         oracle = calibrate_noise_scale(initial, T, 0.02, seed=11, time_grid=grid)
         measured = score_entropy_loss(oracle, initial, T, grid)
         assert measured == pytest.approx(0.02, rel=0.02)
-
-
-class TestTabularOracle:
-    def test_matches_source_at_bucket_midpoints(self, rng):
-        initial = random_initial(rng, 4, 5)
-        exact = ExactScoreOracle(initial, 2.0)
-        tab = TabularScoreOracle.from_oracle(exact, n_buckets=16)
-        states = all_states(4)
-        for b in (0, 7, 15):
-            mid = (b + 0.5) / 16 * 2.0
-            assert np.array_equal(tab.ratio_all(mid, states), exact.ratio_all(mid, states))
-
-    def test_csv_round_trip(self, tmp_path, rng):
-        initial = random_initial(rng, 3, 4)
-        tab = TabularScoreOracle.from_oracle(ExactScoreOracle(initial, 1.5), n_buckets=8)
-        path = tmp_path / "oracle.csv"
-        tab.to_csv(path, header_lines=["config_hash=y"])
-        loaded = TabularScoreOracle.from_csv(path, T=1.5, n_bits=3)
-        assert np.array_equal(loaded.table, tab.table)
-
-    def test_rejects_nonpositive_entries(self):
-        with pytest.raises(ValueError):
-            TabularScoreOracle(1.0, 2, np.zeros((4, 4, 2)))
