@@ -4,7 +4,7 @@ continuous-histogram distance against an analytic density."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,32 +36,26 @@ def kl_exact(p: np.ndarray, q: np.ndarray) -> float:
 
 @dataclass
 class EmpiricalLaw:
-    """Sample counts over state indices; supports associative merge so
-    parallel reductions can combine partial tallies."""
+    """Sample counts over state indices: `counts[i]` samples fell in state i."""
 
-    counts: dict[int, int] = field(default_factory=dict)
+    counts: np.ndarray
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.counts.sum())
 
     @classmethod
     def from_indices(cls, indices: np.ndarray) -> "EmpiricalLaw":
-        values, counts = np.unique(np.asarray(indices, dtype=np.int64), return_counts=True)
-        return cls(counts={int(v): int(c) for v, c in zip(values, counts)})
-
-    def merge(self, other: "EmpiricalLaw") -> "EmpiricalLaw":
-        merged = dict(self.counts)
-        for k, v in other.counts.items():
-            merged[k] = merged.get(k, 0) + v
-        return EmpiricalLaw(counts=merged)
+        """Tally non-negative state indices (a negative one raises ValueError)."""
+        return cls(counts=np.bincount(np.asarray(indices, dtype=np.int64)))
 
     def to_dense(self, n_states: int) -> np.ndarray:
+        outside = np.flatnonzero(self.counts[n_states:])
+        if len(outside):
+            raise ValueError(f"state index {n_states + outside[0]} outside [0, {n_states})")
+        head = self.counts[:n_states]
         probs = np.zeros(n_states)
-        for k, v in self.counts.items():
-            if not 0 <= k < n_states:
-                raise ValueError(f"state index {k} outside [0, {n_states})")
-            probs[k] = v
+        probs[: len(head)] = head
         total = probs.sum()
         if total < 1:
             raise ValueError("empirical law is empty")

@@ -180,8 +180,8 @@ def load_spec(path) -> QuantizerSpec:
 
 def read_points_csv(path) -> np.ndarray:
     """Read an (N, d) point set: one row per point, float columns, optional
-    header row. Malformed rows and non-finite values (nan, inf) are
-    reported with their line number."""
+    header row. Malformed rows, non-finite values (nan, inf) and rows of
+    the wrong width are reported with their line number."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -196,13 +196,11 @@ def read_points_csv(path) -> np.ndarray:
                 raise ValueError(f"{path}: row {line_no}: {exc}") from None
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"{path}: row {line_no}: non-finite value")
+            if rows and len(values) != len(rows[0]):
+                raise ValueError(f"{path}: row {line_no}: expected {len(rows[0])} columns")
             rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    width = len(rows[0])
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {line_no}: expected {width} columns")
     return np.asarray(rows, dtype=np.float64)
 
 

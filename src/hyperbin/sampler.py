@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bits import index_to_state, state_to_index
+from .bits import index_to_state
 from .chain import EmpiricalInitial, marginal_at
 from .quantizer import QuantizerSpec, dequantize_sample, vbin_decode
 from .scores import ScoreOracle
@@ -434,14 +434,19 @@ def write_stats_csv(
 
 
 def write_samples_csv(path, result: SampleResult, header_lines: list[str] | None = None) -> None:
-    """Sample table: (replica, state_index, bitstring, x_0..x_{d-1})."""
+    """Sample table: (replica, state_index, bitstring, x_0..x_{d-1}).
+
+    `state_index` is the exact little-endian integer of the bits, so any D
+    works (it exceeds int64 above D = 63)."""
     n, d = result.x.shape
-    idx = state_to_index(result.states) if n else np.empty(0, dtype=np.int64)
+    digits = np.asarray(result.states, dtype=np.uint8) + ord("0")
+    bitstrings = digits.view(f"S{digits.shape[1]}").ravel()
     with open(path, "w", newline="") as fh:
         for line in header_lines or []:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
         writer.writerow(["replica", "state_index", "bitstring"] + [f"x_{j}" for j in range(d)])
-        for r in range(n):
-            bitstring = "".join(map(str, result.states[r]))
-            writer.writerow([r, int(idx[r]), bitstring] + [repr(float(v)) for v in result.x[r]])
+        writer.writerows(
+            [r, int(bits[::-1], 2), bits.decode(), *map(repr, x)]
+            for r, (bits, x) in enumerate(zip(bitstrings, result.x.tolist()))
+        )

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from hyperbin.chain import EmpiricalInitial
+from hyperbin.verify import random_initial  # noqa: F401  (shared test helper)
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240611)
-
-
-def random_initial(rng, D, support):
-    """Random weighted empirical initial with deduplicated support."""
-    states = np.unique(rng.integers(0, 2, size=(support, D), dtype=np.uint8), axis=0)
-    weights = rng.random(len(states)) + 0.1
-    return EmpiricalInitial(states=states, weights=weights / weights.sum())

@@ -1,318 +1,61 @@
-"""Acceptance suite: one test per quantitative exit criterion, each printing
-a PASS/FAIL line with the measured value and its threshold (run with -s to
-see the lines as they complete)."""
+"""Acceptance suite: each criterion of `hyperbin.verify` at full scale with
+its fixed seed. Every row prints an ACCEPTANCE line with its measured value
+and threshold (see them with -s); a test fails if any of its rows fails."""
 
-import math
-
-import numpy as np
 import pytest
-from scipy.linalg import expm
-from scipy.stats import norm
 
-from conftest import random_initial
-from hyperbin.adjacency import graph_report, mixing_time
-from hyperbin.bits import all_states, state_to_index
-from hyperbin.chain import (
-    EmpiricalInitial,
-    dense_rate_matrix,
-    flip_probability,
-    kl_to_uniform,
-    marginal_at,
-)
-from hyperbin.metrics import (
-    EmpiricalLaw,
-    kl_exact,
-    tv_continuous_histogram,
-    tv_exact,
-    tv_plugin,
-)
-from hyperbin.quantizer import QuantizerSpec
-from hyperbin.sampler import (
-    SamplerConfig,
-    beta_value,
-    build_partition,
-    euler_sample,
-    exact_reverse_marginal,
-    sample,
-)
-from hyperbin.scores import ExactScoreOracle, calibrate_noise_scale, score_entropy_loss
+from hyperbin import verify
 
 
-def report(criterion: int, description: str, passed: bool, detail: str):
-    print(f"ACCEPTANCE {criterion:2d} {'PASS' if passed else 'FAIL'} {description}: {detail}")
-    assert passed, f"criterion {criterion} ({description}): {detail}"
-
-
-def d6_instance(seed=42):
-    """The shared D = 6 instance: 64-bin 1D grid, 10-point random support,
-    eps = 0.1 schedule."""
-    spec = QuantizerSpec.from_grid(d=1, L=4.0, K=64)
-    rng = np.random.default_rng(20240611)
-    initial = random_initial(rng, spec.n_bits, 10)
-    config = SamplerConfig.default_schedule(spec, 0.1, seed=seed, init="exact-terminal")
-    return spec, initial, config
+def run(check, seed, **kwargs):
+    criterion = int(check.__name__.removeprefix("check_c"))
+    rows = check("full", seed, **kwargs)
+    for row in rows:
+        print(f"ACCEPTANCE {criterion:2d} {'PASS' if row.passed else 'FAIL'} {row.detail}")
+    failed = [row.detail for row in rows if not row.passed]
+    assert not failed, f"criterion {criterion}: {failed}"
 
 
 def test_c01_kernel_matches_matrix_exponential():
-    worst = 0.0
-    for D in range(1, 9):
-        R = dense_rate_matrix(D)
-        idx = np.arange(1 << D)
-        ham = np.bitwise_count(idx[:, None] ^ idx[None, :])
-        for dt in (0.01, 0.1, 1.0, 5.0):
-            pf = flip_probability(dt)
-            closed = pf**ham * (1 - pf) ** (D - ham)
-            worst = max(worst, float(np.abs(closed - expm(dt * R)).max()))
-    report(
-        1,
-        "closed-form kernel vs dense matrix exponential",
-        worst <= 1e-9,
-        f"max abs error {worst:.2e} over D<=8, dt in {{0.01,0.1,1,5}} (tol 1e-9)",
-    )
+    run(verify.check_c01, seed=0)  # deterministic
 
 
 def test_c02_forward_kl_decay():
-    rng = np.random.default_rng(2002)
-    worst = 0.0
-    for _ in range(100):
-        D = int(rng.integers(2, 11))
-        initial = random_initial(rng, D, int(rng.integers(1, 9)))
-        for t in (0.5, 1.0, 2.0, 4.0):
-            ratio = kl_to_uniform(marginal_at(initial, t)) / (math.exp(-t) * D)
-            worst = max(worst, ratio)
-    report(
-        2,
-        "forward KL decay envelope",
-        worst <= 1.0,
-        f"max KL/(e^-t D) = {worst:.4f} over 100 initials, D<=10 (must be <= 1, no slack)",
-    )
+    run(verify.check_c02, seed=2002)
 
 
 def test_c03_reverse_rate_bound_and_no_truncation():
-    rng = np.random.default_rng(2003)
-    worst = 0.0
-    for _ in range(20):
-        D = int(rng.integers(2, 9))
-        T = float(rng.uniform(1.0, 5.0))
-        t = float(rng.uniform(0.0, T - 0.05))
-        initial = random_initial(rng, D, int(rng.integers(1, 8)))
-        probs = marginal_at(initial, T - t)
-        idx = np.arange(1 << D)
-        total = sum(probs[idx ^ (1 << i)] / probs[idx] for i in range(D))
-        tight = D * (1.0 + 1.0 / (T - t))
-        assert tight <= beta_value(D, T, t) + 1e-12
-        worst = max(worst, float(total.max()) / tight)
-
-    truncations = 0
-    for D, K in ((4, 16), (7, 128), (10, 1024)):
-        spec = QuantizerSpec.from_grid(d=1, L=1.0, K=K)
-        initial = random_initial(rng, D, 6)
-        config = SamplerConfig.default_schedule(spec, 0.1, seed=D)
-        result = sample(config, ExactScoreOracle(initial, config.T), 2000)
-        truncations += result.stats.truncation_activations
-    passed = worst <= 1.0 and truncations == 0
-    report(
-        3,
-        "exact reverse rates under the cap",
-        passed,
-        f"max total-rate/tight-bound = {worst:.4f} (<= 1); "
-        f"{truncations} truncation activations under exact scores on D in {{4,7,10}} (expect 0)",
-    )
+    run(verify.check_c03, seed=2003)
 
 
 def test_c04_partition_and_event_counts():
-    rng = np.random.default_rng(2004)
-    worst = 0.0
-    for _ in range(50):
-        D = int(rng.integers(1, 17))
-        T = float(rng.uniform(0.5, 6.0))
-        # nominal budget regime: coarse early stopping (see partition tests
-        # for the fine-delta correction)
-        delta = float(np.exp(rng.uniform(math.log(0.03), math.log(0.3)))) * min(1.0, T / 2)
-        part = build_partition(D, T, delta)
-        assert part.times[0] == 0.0 and (np.diff(part.times) > 0).all()
-        assert part.times[-1] == pytest.approx(T - delta, abs=1e-12)
-        worst = max(worst, part.expected_events() / part.event_budget())
-
-    spec = QuantizerSpec.from_grid(d=1, L=1.0, K=16)
-    initial = random_initial(rng, 4, 6)
-    config = SamplerConfig(spec=spec, eps=0.1, T=3.0, delta=0.05, seed=11)
-    n = 10_000
-    result = sample(config, ExactScoreOracle(initial, config.T), n)
-    lam = config.partition().expected_events()
-    mean = result.stats.poisson_events / n
-    z = abs(mean - lam) / math.sqrt(lam / n)
-    passed = worst <= 1.0 and z <= 3.0
-    report(
-        4,
-        "partition validity and event budget",
-        passed,
-        f"max events/budget = {worst:.4f} over 50 draws (delta >= 0.03); "
-        f"empirical mean {mean:.2f} vs {lam:.2f} = {z:.2f} sigma at 1e4 replicas (cap 3)",
-    )
+    run(verify.check_c04, seed=2004)
 
 
 def test_c05_unbiased_generation():
-    _, initial, config = d6_instance(seed=1005)
-    n = 200_000
-    result = sample(config, ExactScoreOracle(initial, config.T), n)
-    target = exact_reverse_marginal(initial, config.T, config.T - config.delta)
-    tv = tv_plugin(EmpiricalLaw.from_indices(state_to_index(result.states)), target)
-    report(
-        5,
-        "sampler law equals the exact early-stopped law",
-        tv <= 0.03,
-        f"plug-in TV = {tv:.4f} at 2e5 replicas, D=6 (threshold 0.03)",
-    )
+    run(verify.check_c05, seed=1005)
 
 
-@pytest.mark.parametrize("target_sq", [0.01, 0.04])
+@pytest.mark.parametrize("target_sq", verify.SCALES["c06"]["full"]["targets"])
 def test_c06_score_error_robustness(target_sq):
-    _, initial, config = d6_instance(seed=1006)
-    grid = np.linspace(1e-3, config.T, 129)
-    oracle = calibrate_noise_scale(initial, config.T, target_sq, seed=77, time_grid=grid)
-    measured = score_entropy_loss(oracle, initial, config.T, grid)
-    assert measured == pytest.approx(target_sq, rel=0.05)
-
-    n = 1_000_000
-    result = sample(config, oracle, n)
-    target = exact_reverse_marginal(initial, config.T, config.T - config.delta)
-    law = EmpiricalLaw.from_indices(state_to_index(result.states))
-    kl = kl_exact(target, law.to_smoothed(len(target)))
-    # exact-terminal initialization: the initial KL term is zero
-    bound = (config.T - config.delta) * measured + 0.02
-    report(
-        6,
-        f"KL growth under score error {target_sq}",
-        kl <= bound,
-        f"smoothed KL = {kl:.4f} <= (T-delta)*L_SE + 0.02 = {bound:.4f} "
-        f"(measured L_SE = {measured:.4f}, 1e6 replicas)",
-    )
+    run(verify.check_c06, seed=1006, targets=(target_sq,))
 
 
 def test_c07_early_stopping_bias():
-    rng = np.random.default_rng(2007)
-    worst = 0.0
-    for D in range(1, 11):
-        initial = random_initial(rng, D, int(rng.integers(1, 8)))
-        q0 = initial.to_dense()
-        for delta in (0.001, 0.01, 0.1):
-            tv = tv_exact(q0, marginal_at(initial, delta))
-            worst = max(worst, tv / (1.0 - math.exp(-delta * D)))
-    report(
-        7,
-        "early-stopping TV bias bound",
-        worst <= 1.0,
-        f"max TV/(1 - e^(-delta D)) = {worst:.4f} over D<=10, delta in {{1e-3,1e-2,1e-1}} "
-        "(must be <= 1, computed exactly)",
-    )
+    run(verify.check_c07, seed=2007)
 
 
 def test_c08_end_to_end_gaussian_mixture():
-    # 0.5 N(-1.5, 0.5^2) + 0.5 N(+1.5, 0.5^2) on a user-chosen grid
-    spec = QuantizerSpec.from_grid(d=1, L=4.0, K=64)
-    edges = -spec.L + spec.l * np.arange(spec.K + 1)
-    comp = lambda e, mu: norm.cdf((e - mu) / 0.5)
-    cell_mass = 0.5 * np.diff(comp(edges, -1.5)) + 0.5 * np.diff(comp(edges, 1.5))
-    weights = cell_mass / cell_mass.sum()
-    grid_idx = np.arange(spec.K)[:, None]
-    from hyperbin.quantizer import vbin_encode
-
-    initial = EmpiricalInitial(states=vbin_encode(spec, grid_idx), weights=weights)
-
-    config = SamplerConfig.default_schedule(spec, 0.1, seed=1008)
-    result = sample(config, ExactScoreOracle(initial, config.T), 200_000)
-    density = lambda p: 0.5 * norm.pdf(p[:, 0], -1.5, 0.5) + 0.5 * norm.pdf(p[:, 0], 1.5, 0.5)
-    tv = tv_continuous_histogram(result.x, density, spec)
-    report(
-        8,
-        "end-to-end continuous TV on a Gaussian mixture",
-        tv <= 5 * 0.1 + 0.03,
-        f"continuous-histogram TV = {tv:.4f} at 2e5 samples (threshold 0.53)",
-    )
+    run(verify.check_c08, seed=1008)
 
 
 def test_c09_complexity_scaling():
-    rng = np.random.default_rng(2009)
-    eps = 0.1
-    dims, means = [], []
-    for D in (4, 8, 12, 16):
-        spec = QuantizerSpec.from_grid(d=1, L=1.0, K=1 << D)
-        initial = random_initial(rng, D, 16)
-        config = SamplerConfig.default_schedule(spec, eps, seed=100 + D)
-        n = 2000
-        result = sample(config, ExactScoreOracle(initial, config.T), n)
-        mean_events = result.stats.poisson_events / n
-        assert result.stats.score_evals == result.stats.poisson_events * D
-        dims.append(D)
-        means.append(mean_events)
-    envelope = [2.0 * D * math.log(D / eps) ** 2 for D in dims]
-    within = all(m <= e for m, e in zip(means, envelope))
-    x = np.log([D * math.log(D / eps) ** 2 for D in dims])
-    slope = float(np.polyfit(x, np.log(means), 1)[0])
-    passed = within and 0.8 <= slope <= 1.2
-    report(
-        9,
-        "score-evaluation complexity scaling",
-        passed,
-        f"mean events {[round(m, 1) for m in means]} within 2 D ln^2(D/eps) "
-        f"{[round(e, 1) for e in envelope]}; log-log slope vs D ln^2(D/eps) = {slope:.3f} "
-        "(required within [0.8, 1.2])",
-    )
+    run(verify.check_c09, seed=2009)
 
 
 def test_c10_euler_needs_more_evaluations():
-    _, initial, config = d6_instance(seed=1010)
-    oracle = ExactScoreOracle(initial, config.T)
-    target = exact_reverse_marginal(initial, config.T, config.T - config.delta)
-    n = 100_000
-
-    uni = sample(config, oracle, n)
-    tv_uni = tv_plugin(EmpiricalLaw.from_indices(state_to_index(uni.states)), target)
-    events_per_rep = uni.stats.poisson_events / n
-
-    matched_steps = None
-    ladder = (32, 64, 128, 256, 512, 1024)
-    tvs = {}
-    for n_steps in ladder:
-        res = euler_sample(config, oracle, n_steps, n)
-        tv = tv_plugin(EmpiricalLaw.from_indices(state_to_index(res.states)), target)
-        tvs[n_steps] = tv
-        if tv <= tv_uni:
-            matched_steps = n_steps
-            break
-    # if no ladder point matches, the fixed-step method needs more than the
-    # deepest ladder entry
-    needed = matched_steps if matched_steps is not None else ladder[-1]
-    ratio = needed / events_per_rep
-    report(
-        10,
-        "fixed-step baseline pays >= 4x the evaluations",
-        ratio >= 4.0,
-        f"uniformization TV {tv_uni:.4f} at {events_per_rep:.0f} events/replica; "
-        f"fixed-step TVs {dict((k, round(v, 4)) for k, v in tvs.items())} -> "
-        f"evaluation ratio {ratio:.1f} (>= 4 required)",
-    )
+    run(verify.check_c10, seed=1010)
 
 
 def test_c11_adjacency_structure():
-    triples = {
-        "tridiagonal": graph_report("tridiagonal", 8),
-        "dense": graph_report("dense", 8),
-        "hypercube": graph_report("hypercube", 3),
-    }
-    table_ok = triples == {"tridiagonal": (7, 2), "dense": (1, 7), "hypercube": (3, 3)}
-    order_ok = True
-    times = {}
-    for n in (8, 16, 32):
-        t_dense = mixing_time("dense", n)
-        t_hyper = mixing_time("hypercube", int(math.log2(n)))
-        t_tri = mixing_time("tridiagonal", n)
-        times[n] = (round(t_dense, 3), round(t_hyper, 3), round(t_tri, 3))
-        order_ok &= t_dense <= t_hyper <= t_tri
-    report(
-        11,
-        "adjacency diameters, degrees, and mixing order",
-        table_ok and order_ok,
-        f"report triples {triples}; mixing times (dense, hypercube, tridiagonal) {times}",
-    )
+    run(verify.check_c11, seed=0)  # deterministic

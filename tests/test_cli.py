@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -178,6 +179,34 @@ class TestSampleCommand:
         assert main(["sample", "--config", config, "--out", str(out)]) == 0
         assert (out / "samples.csv").exists()
 
+    def test_eighty_bit_states_reach_the_output(self, tmp_path):
+        # d=8, K=1024: D = 80 bits, past the int64 range of a state index
+        points = tmp_path / "points8.csv"
+        points.write_text("0.5,-0.25,0.75,0,0.1,-0.9,0.3,0.6\n-0.5,0.25,0.1,0.2,0.3,0.4,-0.1,0\n")
+        config = write_config(
+            tmp_path / "d80.json",
+            {
+                "target": {"csv": str(points)},
+                "quantizer": {"d": 8, "L": 2.0, "K": 1024},
+                "n_samples": 10,
+                "seed": 2,
+            },
+        )
+        out = tmp_path / "d80"
+        assert main(["sample", "--config", config, "--out", str(out)]) == 0
+        with open(out / "samples.csv", newline="") as fh:
+            rows = [r for r in csv.reader(fh) if not r[0].startswith("#")][1:]
+        assert len(rows) == 10
+        assert all(len(r[2]) == 80 and int(r[1]) == int(r[2][::-1], 2) for r in rows)
+
+    def test_quantize_and_sample_share_config_hash(self, tmp_path, sample_config):
+        q, s = tmp_path / "q", tmp_path / "s"
+        assert main(["quantize", "--config", sample_config, "--seed", "9", "--out", str(q)]) == 0
+        assert main(["sample", "--config", sample_config, "--seed", "9", "--out", str(s)]) == 0
+        first_line = lambda path: path.read_text().splitlines()[0]
+        assert first_line(q / "states.csv") == first_line(s / "samples.csv")
+        assert first_line(q / "states.csv").startswith("# config_hash=")
+
     def test_config_hash_header_present(self, tmp_path, sample_config):
         out = tmp_path / "hash_check"
         main(["sample", "--config", sample_config, "--out", str(out)])
@@ -186,18 +215,20 @@ class TestSampleCommand:
 
 
 class TestVerifyCommand:
-    def test_kernel_suite_passes(self, capsys):
-        assert main(["verify", "--suite", "kernel"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS kernel/closed_form_vs_expm" in out
+    @pytest.mark.parametrize("suite", list(verify_suites.SUITES))
+    def test_every_suite_passes(self, capsys, suite):
+        assert main(["verify", "--suite", suite]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        passed = [line for line in lines if line.startswith(f"PASS {suite}/")]
+        assert passed and lines == passed + [f"{suite}: {len(passed)}/{len(passed)} checks passed"]
 
     def test_unknown_suite_lists_names(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
         err = capsys.readouterr().err
-        assert "kernel" in err and "unbiased" in err
+        assert all(name in err for name in verify_suites.SUITES)
 
     def test_failure_exits_3(self, capsys, monkeypatch):
-        def failing(seed):
+        def failing(scale, seed):
             return [verify_suites.CheckRow("always_fails", False, 1.0, 1, "forced")]
 
         monkeypatch.setitem(verify_suites.SUITES, "kernel", failing)
@@ -208,9 +239,6 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "early-stop", "--out", str(tmp_path)]) == 0
         report = (tmp_path / "verify_early-stop.csv").read_text()
         assert "early_stop_tv" in report and "config_hash=" in report
-
-    def test_partition_suite_passes(self):
-        assert main(["verify", "--suite", "partition"]) == 0
 
 
 class TestAdjacencyCommand:

@@ -76,12 +76,12 @@ class TestKlExact:
 class TestEmpiricalLaw:
     def test_plugin_zero_when_proportional(self):
         q = np.array([0.125, 0.375, 0.25, 0.25])
-        law = EmpiricalLaw(counts={0: 1, 1: 3, 2: 2, 3: 2})
+        law = EmpiricalLaw(counts=np.array([1, 3, 2, 2]))
         assert tv_plugin(law, q) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_sample(self, rng):
         q = random_law(rng, 8)
-        law = EmpiricalLaw(counts={5: 1})
+        law = EmpiricalLaw.from_indices([5])
         assert tv_plugin(law, q) == pytest.approx(1.0 - q[5], rel=1e-12)
 
     def test_multinomial_concentration(self, rng):
@@ -98,28 +98,20 @@ class TestEmpiricalLaw:
             vals = []
             for _ in range(3):
                 counts = rng.multinomial(n, q)
-                law = EmpiricalLaw(counts={i: int(c) for i, c in enumerate(counts) if c})
+                law = EmpiricalLaw(counts=counts)
                 vals.append(tv_plugin(law, q))
             means.append(np.mean(vals))
         assert all(a > b for a, b in zip(means, means[1:]))
 
-    def test_merge_is_commutative_and_associative(self):
-        a = EmpiricalLaw(counts={0: 1, 2: 5})
-        b = EmpiricalLaw(counts={2: 2, 3: 1})
-        c = EmpiricalLaw(counts={0: 4})
-        assert a.merge(b).counts == b.merge(a).counts
-        assert a.merge(b).merge(c).counts == a.merge(b.merge(c)).counts
-        assert a.merge(b).total == a.total + b.total
-
     def test_smoothing_strictly_positive(self):
-        law = EmpiricalLaw(counts={1: 10})
+        law = EmpiricalLaw.from_indices([1] * 10)
         smoothed = law.to_smoothed(4)
         assert (smoothed > 0).all()
         assert smoothed.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_out_of_range_state_rejected(self):
         with pytest.raises(ValueError):
-            EmpiricalLaw(counts={9: 1}).to_dense(8)
+            EmpiricalLaw.from_indices([9]).to_dense(8)
 
     @given(st.lists(st.integers(0, 15), min_size=1, max_size=200))
     @settings(max_examples=30, deadline=None)

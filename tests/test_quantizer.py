@@ -242,6 +242,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match="row 2"):
             read_points_csv(path)
 
+    def test_points_csv_width_mismatch_names_file_line(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("x0\n# note\n1.0\n2.0,3.0")
+        with pytest.raises(ValueError, match="row 4: expected 1 columns"):
+            read_points_csv(path)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_points_csv_rejects_non_finite(self, tmp_path, value):
         path = tmp_path / "pts.csv"

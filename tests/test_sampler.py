@@ -1,3 +1,4 @@
+import csv
 import math
 from unittest import mock
 
@@ -506,3 +507,18 @@ class TestCSVOutput:
         lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "replica,state_index,bitstring,x_0,x_1"
         assert len(lines) == 51
+
+    @pytest.mark.parametrize("D", [63, 64, 80, 128])
+    def test_samples_csv_index_is_exact_at_any_D(self, tmp_path, D):
+        rng = np.random.default_rng(D)
+        states = rng.integers(0, 2, size=(20, D), dtype=np.uint8)
+        states[0] = 1  # the largest index, 2^D - 1
+        x = rng.standard_normal((20, 1))
+        result = sampler.SampleResult(x=x, states=states, stats=sampler.RunStats())
+        path = tmp_path / "samples.csv"
+        write_samples_csv(path, result)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[2] for r in rows] == ["".join(map(str, s)) for s in states]
+        assert all(int(r[1]) == int(r[2][::-1], 2) for r in rows)
+        assert int(rows[0][1]) == 2**D - 1
