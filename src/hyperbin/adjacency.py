@@ -10,8 +10,6 @@ log2(n). Generators follow the column convention (columns sum to zero).
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 from scipy.linalg import expm
 from scipy.sparse import csr_matrix
@@ -104,14 +102,15 @@ def mixing_time(
 def write_heat_kernel_csv(
     path, kind: str, size: int, times, header_lines: list[str] | None = None
 ) -> None:
-    """Rows (t, row, col, prob) for each requested time."""
+    """Rows (t, row, col, prob) for each requested time, in the csv
+    module's default dialect (comma-separated, CRLF row endings)."""
+    n = _n_states(kind, size)
+    cells = [f"{i},{j}," for i in range(n) for j in range(n)]
     with open(path, "w", newline="") as fh:
         for line in header_lines or []:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "row", "col", "prob"])
+        fh.write("t,row,col,prob\r\n")
         for t in times:
-            kernel = heat_kernel(kind, size, float(t))
-            for i in range(kernel.shape[0]):
-                for j in range(kernel.shape[1]):
-                    writer.writerow([repr(float(t)), i, j, repr(float(kernel[i, j]))])
+            probs = heat_kernel(kind, size, float(t)).ravel().tolist()
+            head = f"{float(t)!r},"
+            fh.write("".join([f"{head}{cell}{p!r}\r\n" for cell, p in zip(cells, probs)]))

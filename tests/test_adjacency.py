@@ -1,9 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from hyperbin.adjacency import (
+    KINDS,
     build_rate_matrix,
     graph_report,
     heat_kernel,
@@ -107,3 +109,24 @@ class TestHeatKernelCSV:
         assert lines[0] == "# config_hash=h"
         assert lines[1] == "t,row,col,prob"
         assert len(lines) == 2 + 2 * 16
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+    def test_bytes_match_per_row_writer(self, tmp_path, n):
+        # reference: one csv.writer row per kernel entry, as adjacency-report
+        # wrote them before the writer was vectorized
+        times = [0.01, 0.1, 0.5, 2.0]
+        for kind in KINDS:
+            size = int(math.log2(n)) if kind == "hypercube" else n
+            expected = tmp_path / f"expected_{kind}.csv"
+            with open(expected, "w", newline="") as fh:
+                fh.write("# config_hash=h\n")
+                writer = csv.writer(fh)
+                writer.writerow(["t", "row", "col", "prob"])
+                for t in times:
+                    kernel = heat_kernel(kind, size, t)
+                    for i in range(n):
+                        for j in range(n):
+                            writer.writerow([repr(float(t)), i, j, repr(float(kernel[i, j]))])
+            got = tmp_path / f"got_{kind}.csv"
+            write_heat_kernel_csv(got, kind, size, times, header_lines=["config_hash=h"])
+            assert got.read_bytes() == expected.read_bytes()

@@ -1,10 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_initial
-from hyperbin.bits import all_states
+from hyperbin.bits import all_states, index_to_state
 from hyperbin.chain import EmpiricalInitial, marginal_at
 from hyperbin.scores import (
     ExactScoreOracle,
@@ -23,6 +26,34 @@ def dense_ratios(initial, T, t):
     q = marginal_at(initial, T - t)
     idx = np.arange(1 << D)
     return np.stack([q[idx ^ (1 << i)] / q[idx] for i in range(D)], axis=1)
+
+
+def mpmath_ratios(initial, T, t, states):
+    """Independent oracle at 50 significant digits: every flip ratio of the
+    kernel mixture sum_p w_p rho^Ham(y, p), with the gap T - t taken exactly."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(T) - mpmath.mpf(t)
+        pf = -mpmath.expm1(-2 * s) / 2
+        rho = pf / (1 - pf)
+        weights = [mpmath.mpf(float(w)) for w in initial.weights]
+
+        def q(y):
+            ham = (initial.states != y).sum(axis=1)
+            return mpmath.fsum(w * rho ** int(h) for w, h in zip(weights, ham))
+
+        out = np.empty(states.shape)
+        for b, y in enumerate(states):
+            qy = q(y)
+            for i in range(len(y)):
+                out[b, i] = float(q(y ^ np.eye(len(y), dtype=np.uint8)[i]) / qy)
+    return out
+
+
+def distinct_support(rng, D, P):
+    """Random weighted support of exactly P distinct states."""
+    idx = rng.choice(1 << D, size=P, replace=False)
+    weights = rng.random(P) + 0.1
+    return EmpiricalInitial(index_to_state(idx, D), weights / weights.sum())
 
 
 class ConstantBiasOracle(ScoreOracle):
@@ -58,10 +89,9 @@ class TestExactOracle:
         t = rng.uniform(0, 1.99, size=32)
         ratios = oracle.ratio_all(t, rng.integers(0, 2, (32, D)).astype(np.uint8))
         assert np.abs(ratios - 1.0).max() < 1e-12
-        # immediately before the horizon the 1/odds factor amplifies float
-        # error, but the identity still holds to 1e-9
+        # the identity holds just as tightly immediately before the horizon
         edge = oracle.ratio_all(2.0 - 1e-6, rng.integers(0, 2, (8, D)).astype(np.uint8))
-        assert np.abs(edge - 1.0).max() < 1e-9
+        assert np.abs(edge - 1.0).max() < 1e-12
 
     def test_matches_dense_marginals(self, rng):
         # consistency at 1e-9 for 50 random (t, state, flip) per dimension
@@ -80,14 +110,46 @@ class TestExactOracle:
                 assert got == pytest.approx(expected, rel=1e-9)
 
     def test_extreme_tail_agreement(self, rng):
-        # at T - t = 1e-4 both routes carry ~1e-9 relative float noise
+        # at T - t = 1e-4 both routes sum nonnegative terms only, so they
+        # agree to float64 precision
         D = 6
         initial = random_initial(rng, D, 5)
         oracle = ExactScoreOracle(initial, T=4.0)
         t = 4.0 - 1e-4
         expected = dense_ratios(initial, 4.0, t)
         got = oracle.ratio_all(t, all_states(D))
-        assert np.abs(got / expected - 1.0).max() < 1e-7
+        assert np.abs(got / expected - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "D,P,table",
+        [(6, 10, True), (10, 32, True), (10, 300, True), (10, 5, False), (24, 6, False), (40, 6, False)],
+    )
+    def test_matches_mpmath_reference(self, rng, D, P, table):
+        # (D, P) picks the path: the shell table needs P^2 >= 2^D
+        initial = distinct_support(rng, D, P)
+        oracle = ExactScoreOracle(initial, T=2.0)
+        assert oracle.uses_shell_table == table
+        states = np.vstack([initial.states[:3], rng.integers(0, 2, (5, D), dtype=np.uint8)])
+        for gap in (1e-2, 1e-4, 1e-6, 1e-8):
+            t = 2.0 - gap
+            expected = mpmath_ratios(initial, 2.0, t, states)
+            got = oracle.ratio_all(t, states)
+            assert np.abs(got / expected - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("D,P", [(4, 6), (9, 3)])
+    def test_duplicate_support_rows_add_their_weights(self, rng, D, P):
+        merged = distinct_support(rng, D, P)
+        w = merged.weights
+        split = EmpiricalInitial(
+            states=np.vstack([merged.states, merged.states[:2]]),
+            weights=np.concatenate([w[:2] / 4, w[2:], 3 * w[:2] / 4]),
+        )
+        states = all_states(D)
+        t = rng.uniform(0, 1.9, len(states))
+        a = ExactScoreOracle(merged, 2.0)
+        b = ExactScoreOracle(split, 2.0)
+        assert a.uses_shell_table == b.uses_shell_table == (D == 4)
+        assert np.abs(b.ratio_all(t, states) / a.ratio_all(t, states) - 1.0).max() < 1e-12
 
     def test_reciprocity(self, rng):
         D = 7
@@ -128,6 +190,29 @@ class TestExactOracle:
             oracle.ratio(0.5, np.zeros(3, np.uint8), 3)  # flip out of range
         with pytest.raises(ValueError):
             oracle.ratio(-0.1, np.zeros(3, np.uint8), 0)
+
+
+class TestOracleProperties:
+    @given(
+        D=st.integers(1, 10),
+        table=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        log_gap=st.floats(-8.0, math.log10(3.0)),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ratios_match_dense_marginals(self, D, table, seed, log_gap, data):
+        # P is drawn on the chosen side of the path rule P^2 >= 2^D, up to
+        # the full support 2^D; the gap T - t spans [1e-8, T]
+        smallest = math.isqrt((1 << D) - 1) + 1
+        P = data.draw(st.integers(smallest, 1 << D) if table else st.integers(1, smallest - 1))
+        initial = distinct_support(np.random.default_rng(seed), D, P)
+        T = 3.0
+        t = max(0.0, T - 10.0**log_gap)
+        oracle = ExactScoreOracle(initial, T)
+        assert oracle.uses_shell_table == table
+        got = oracle.ratio_all(t, all_states(D))
+        assert np.abs(got / dense_ratios(initial, T, t) - 1.0).max() <= 1e-12
 
 
 class TestBregman:
