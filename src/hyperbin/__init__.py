@@ -29,7 +29,6 @@ from .scores import (
     ScoreOracle,
     ExactScoreOracle,
     PerturbedScoreOracle,
-    perturb,
     score_entropy_loss,
     calibrate_noise_scale,
     bregman_phi,

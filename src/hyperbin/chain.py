@@ -10,7 +10,6 @@ R[y, y'] = rate from y' to y and the little-endian state/index map from
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,31 +173,3 @@ def point_mass(D: int, index: int) -> np.ndarray:
     probs = np.zeros(1 << D)
     probs[index] = 1.0
     return probs
-
-
-def write_distribution_csv(path, probs: np.ndarray, header_lines: list[str] | None = None) -> None:
-    """Serialize a dense distribution as (state_index, bitstring, prob) rows."""
-    probs = check_distribution(probs)
-    D = int(np.log2(len(probs)))
-    states = all_states(D)
-    with open(path, "w", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["state_index", "bitstring", "prob"])
-        for i, p in enumerate(probs):
-            writer.writerow([i, "".join(map(str, states[i])), repr(float(p))])
-
-
-def read_distribution_csv(path) -> np.ndarray:
-    entries = {}
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#") or row[0] == "state_index":
-                continue
-            entries[int(row[0])] = float(row[2])
-    n = max(entries) + 1
-    probs = np.zeros(n)
-    for i, p in entries.items():
-        probs[i] = p
-    return check_distribution(probs)

@@ -36,6 +36,8 @@ from .quantizer import (
 from .sampler import SamplerConfig, euler_sample, sample, write_samples_csv, write_stats_csv
 from .scores import ExactScoreOracle
 
+SAMPLE_METHODS = ("uniformization", "euler")
+
 
 class ConfigError(ValueError):
     pass
@@ -112,17 +114,14 @@ def load_target_points(config: dict, seed: int) -> np.ndarray:
 
 def build_sampler_config(config: dict, spec: QuantizerSpec, seed: int) -> SamplerConfig:
     s = dict(config.get("sampler") or {})
-    eps = float(s.get("eps", 0.1))
-    base = SamplerConfig.default_schedule(spec, eps, seed)
+    base = SamplerConfig.default_schedule(spec, float(s.get("eps", 0.1)), seed)
     try:
         return SamplerConfig(
             spec=spec,
-            eps=eps,
             T=float(s.get("T", base.T)),
             delta=float(s.get("delta", base.delta)),
             seed=seed,
             init=s.get("init", "uniform"),
-            method=config.get("method", "uniformization"),
             beta_mode=s.get("beta_mode", "standard"),
         )
     except ValueError as exc:
@@ -156,6 +155,9 @@ def cmd_sample(args) -> int:
     config = load_config(args.config)
     if args.method:
         config["method"] = args.method
+    method = config.get("method", "uniformization")
+    if method not in SAMPLE_METHODS:
+        raise ConfigError(f"unknown method {method!r}; valid: {', '.join(SAMPLE_METHODS)}")
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     chash = config_hash({**config, "seed": seed})
     spec = build_quantizer_spec(config)
@@ -165,7 +167,7 @@ def cmd_sample(args) -> int:
     run_config = build_sampler_config(config, spec, seed)
     oracle = ExactScoreOracle(initial, run_config.T)
     n_samples = int(config.get("n_samples", 1000))
-    if run_config.method == "euler":
+    if method == "euler":
         n_steps = int(config.get("n_steps", 64))
         result = euler_sample(run_config, oracle, n_steps, n_samples)
     else:
@@ -264,7 +266,7 @@ def main(argv=None) -> int:
     p_sample.add_argument("--config", required=True)
     p_sample.add_argument("--seed", type=int, default=None)
     p_sample.add_argument("--out", default=None)
-    p_sample.add_argument("--method", choices=["uniformization", "euler"], default=None)
+    p_sample.add_argument("--method", choices=SAMPLE_METHODS, default=None)
     p_sample.set_defaults(func=cmd_sample)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")

@@ -16,12 +16,11 @@ import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import index_to_state
-from .chain import EmpiricalInitial, marginal_at
+from .chain import EmpiricalInitial, marginal_at, sample_forward
 from .quantizer import QuantizerSpec, dequantize_sample, vbin_decode
 from .scores import ScoreOracle
 
@@ -57,7 +56,6 @@ class TimePartition:
     T: float
     delta: float
     n_bits: int
-    beta_mode: str = "standard"
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
@@ -113,24 +111,21 @@ def build_partition(
     times.append(T - delta)
     times = np.asarray(times)
     betas = beta_value(D, T, times[1:], beta_mode)
-    return TimePartition(
-        times=times, betas=betas, T=float(T), delta=float(delta), n_bits=D, beta_mode=beta_mode
-    )
+    return TimePartition(times=times, betas=betas, T=float(T), delta=float(delta), n_bits=D)
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Run parameters; `init` is "uniform" or "exact-terminal" (the latter
-    draws initial states from the dense forward marginal at T, so it needs
-    an oracle exposing its initial distribution and small D)."""
+    """Run parameters; `init` is "uniform" or "exact-terminal". The latter
+    starts from the forward law at T: it draws support points of the
+    oracle's `initial` by weight and runs the forward chain over [0, T]
+    from them, which is exact at any D."""
 
     spec: QuantizerSpec
-    eps: float
     T: float
     delta: float
     seed: int
     init: str = "uniform"
-    method: str = "uniformization"
     beta_mode: str = "standard"
 
     def __post_init__(self):
@@ -138,8 +133,6 @@ class SamplerConfig:
             raise ValueError("need 0 < delta < T")
         if self.init not in ("uniform", "exact-terminal"):
             raise ValueError(f"unknown init {self.init!r}")
-        if self.method not in ("uniformization", "euler"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.beta_mode not in BETA_MODES:
             raise ValueError(f"unknown beta mode {self.beta_mode!r}")
 
@@ -159,7 +152,7 @@ class SamplerConfig:
             raise ValueError("eps must lie in (0, 1)")
         T = math.log(spec.d / eps) + math.log(spec.m)
         delta = eps / (spec.d * spec.m)
-        return cls(spec=spec, eps=eps, T=T, delta=delta, seed=seed, **kwargs)
+        return cls(spec=spec, T=T, delta=delta, seed=seed, **kwargs)
 
 
 @dataclass
@@ -205,26 +198,27 @@ def _chunk_rng(seed: int, tag: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag, index)))
 
 
-def _terminal_probs(config: SamplerConfig, oracle: ScoreOracle) -> np.ndarray | None:
-    if config.init != "exact-terminal":
-        return None
-    initial = getattr(oracle, "initial", None)
-    if initial is None:
+def _check_oracle(config: SamplerConfig, oracle: ScoreOracle) -> None:
+    """Reject an oracle that breaks the contract of :class:`ScoreOracle`
+    for this run: another state size, another horizon, or no `initial`
+    under exact-terminal init."""
+    if oracle.n_bits != config.n_bits:
+        raise ValueError(f"oracle has {oracle.n_bits} bits, the quantizer {config.n_bits}")
+    if oracle.T != config.T:
+        raise ValueError(f"oracle horizon T={oracle.T} differs from the run's T={config.T}")
+    if config.init == "exact-terminal" and not hasattr(oracle, "initial"):
         raise ValueError("exact-terminal init needs an oracle with an initial distribution")
-    return marginal_at(initial, config.T)
 
 
 def _initial_states(
-    config: SamplerConfig,
-    n: int,
-    rng: np.random.Generator,
-    terminal_probs: np.ndarray | None,
+    config: SamplerConfig, oracle: ScoreOracle, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     D = config.n_bits
     if config.init == "uniform":
         return rng.integers(0, 2, size=(n, D), dtype=np.uint8)
-    idx = rng.choice(len(terminal_probs), size=n, p=terminal_probs)
-    return index_to_state(idx, D)
+    initial = oracle.initial
+    rows = rng.choice(len(initial.weights), size=n, p=initial.weights)
+    return sample_forward(D, initial.states[rows], 0.0, config.T, rng)
 
 
 def _jump(
@@ -334,12 +328,11 @@ def _run_chunks(config, oracle, n_samples, runner, rng_tag):
     # An empty run still makes one (empty) chunk, so it reports zero counts.
     starts = range(0, max(n_samples, 1), DEFAULT_CHUNK)
     bounds = [(lo, min(lo + DEFAULT_CHUNK, n_samples)) for lo in starts]
-    terminal = _terminal_probs(config, oracle)
 
     def run_one(chunk_index: int) -> RunStats:
         lo, hi = bounds[chunk_index]
         rng = _chunk_rng(config.seed, rng_tag, chunk_index)
-        states[lo:hi] = _initial_states(config, hi - lo, rng, terminal)
+        states[lo:hi] = _initial_states(config, oracle, hi - lo, rng)
         stats = runner(states[lo:hi], rng)
         grid = vbin_decode(config.spec, states[lo:hi])
         x[lo:hi] = dequantize_sample(config.spec, grid, rng)
@@ -367,10 +360,7 @@ def sample(config: SamplerConfig, oracle: ScoreOracle, n_samples: int) -> Sample
     per chunk; chunks run on the available CPUs. The output is
     deterministic given the seed and independent of the thread count.
     """
-    if config.method != "uniformization":
-        raise ValueError("config.method must be 'uniformization' for sample()")
-    if oracle.n_bits != config.n_bits:
-        raise ValueError("oracle and quantizer disagree on state size")
+    _check_oracle(config, oracle)
     partition = config.partition()
     runner = lambda states, rng: _uniformize_chunk(oracle, partition, states, rng)
     return _run_chunks(config, oracle, n_samples, runner, rng_tag=2)
@@ -386,11 +376,9 @@ def euler_sample(
     n_steps grows. Chunking and threads are as in :func:`sample`."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if oracle.n_bits != config.n_bits:
-        raise ValueError("oracle and quantizer disagree on state size")
-    cfg = replace(config, method="euler") if config.method != "euler" else config
-    runner = lambda states, rng: _euler_chunk(oracle, cfg, n_steps, states, rng)
-    return _run_chunks(cfg, oracle, n_samples, runner, rng_tag=3)
+    _check_oracle(config, oracle)
+    runner = lambda states, rng: _euler_chunk(oracle, config, n_steps, states, rng)
+    return _run_chunks(config, oracle, n_samples, runner, rng_tag=3)
 
 
 def exact_reverse_marginal(initial: EmpiricalInitial, T: float, t: float) -> np.ndarray:

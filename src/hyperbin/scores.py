@@ -1,12 +1,12 @@
 """Density-ratio oracles for the reverse-time chain.
 
-An oracle answers queries ratio(t, y, i) ~= q_rev_t(y ^ e_i) / q_rev_t(y)
-for reverse time t in [0, T) and flip position i, where q_rev_t equals the
-forward marginal at time T - t. With per-bit odds rho = pf / (1 - pf) at
-forward time T - t, that marginal is proportional to
-sum_p w_p rho^Ham(y, p) over the empirical support, a sum of nonnegative
-terms. The exact oracle evaluates it in one of two ways, picked from the
-bit count D and the support size P alone:
+An oracle answers ratio_all(t, y)[i] ~= q_rev_t(y ^ e_i) / q_rev_t(y) for
+reverse time t in [0, T) and every flip position i, where q_rev_t equals
+the forward marginal at time T - t (the contract is :class:`ScoreOracle`).
+With per-bit odds rho = pf / (1 - pf) at forward time T - t, that marginal
+is proportional to sum_p w_p rho^Ham(y, p) over the empirical support, a
+sum of nonnegative terms. The exact oracle evaluates it in one of two
+ways, picked from the bit count D and the support size P alone:
 
 - shell table, when P^2 >= 2^D and the (2^D, D + 1) table fits the chunk
   budget (D <= 19): the weight of each Hamming shell around every state,
@@ -32,7 +32,8 @@ from .chain import EmpiricalInitial, flip_probability, marginal_at
 # mixture terms or (batch, D, D + 1) neighbour shells, and for the shell table.
 _CHUNK_ELEMENTS = 1 << 24
 
-DEFAULT_TIME_BUCKETS = 64
+# Uniform slices of [0, T) within which a perturbed oracle's noise is fixed.
+TIME_BUCKETS = 64
 
 
 def bregman_phi(u, w):
@@ -47,24 +48,22 @@ def bregman_phi(u, w):
 
 
 class ScoreOracle:
-    """Common query surface: scalar `ratio` and batched `ratio_all`."""
+    """The oracle contract; the sampler queries nothing else.
+
+    An oracle provides the horizon `T`, the state size `n_bits` (D) and
+    `ratio_all`. Runs with `init="exact-terminal"` also need `initial`,
+    the `EmpiricalInitial` at forward time 0 from which the start is
+    simulated. `sample`, `euler_sample` and `score_entropy_loss` check T
+    and D against their run once, before any query.
+    """
 
     T: float
     n_bits: int
 
     def ratio_all(self, t, states) -> np.ndarray:
         """Ratios for every flip: (B, D) array for (B, D) base states and
-        per-row reverse times t (scalar or (B,))."""
+        per-row reverse times t in [0, T) (scalar or (B,))."""
         raise NotImplementedError
-
-    def ratio(self, t: float, base: np.ndarray, flip: int) -> float:
-        """Single-query form; `flip` indexes the bit toggled in `base`."""
-        if not 0 <= flip < self.n_bits:
-            raise ValueError(f"flip index {flip} out of range [0, {self.n_bits})")
-        if not 0 <= t < self.T:
-            raise ValueError(f"reverse time {t} out of [0, T={self.T})")
-        base = np.asarray(base, dtype=np.uint8)
-        return float(self.ratio_all(t, base[None, :])[0, flip])
 
 
 def shell_table(initial: EmpiricalInitial) -> np.ndarray:
@@ -200,16 +199,10 @@ class PerturbedScoreOracle(ScoreOracle):
     The noise xi is a pure function of (seed, time bucket, state, flip),
     uniform on [-noise_scale, noise_scale], so repeated queries are
     bitwise reproducible without any cache. Time is bucketed into
-    `n_buckets` uniform slices of [0, T).
+    TIME_BUCKETS uniform slices of [0, T).
     """
 
-    def __init__(
-        self,
-        inner: ScoreOracle,
-        noise_scale: float,
-        seed: int,
-        n_buckets: int = DEFAULT_TIME_BUCKETS,
-    ):
+    def __init__(self, inner: ScoreOracle, noise_scale: float, seed: int):
         if noise_scale < 0:
             raise ValueError("noise_scale must be nonnegative")
         self.inner = inner
@@ -217,7 +210,6 @@ class PerturbedScoreOracle(ScoreOracle):
         self.n_bits = inner.n_bits
         self.noise_scale = float(noise_scale)
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.n_buckets = int(n_buckets)
 
     @property
     def initial(self) -> EmpiricalInitial:
@@ -227,7 +219,7 @@ class PerturbedScoreOracle(ScoreOracle):
         states = np.atleast_2d(np.asarray(states, dtype=np.uint8))
         B, D = states.shape
         t = np.broadcast_to(np.asarray(t, dtype=np.float64), (B,))
-        bucket = np.clip((t / self.T * self.n_buckets).astype(np.int64), 0, self.n_buckets - 1)
+        bucket = np.clip((t / self.T * TIME_BUCKETS).astype(np.int64), 0, TIME_BUCKETS - 1)
         key = state_key(states) ^ splitmix64(bucket.astype(np.uint64))
         key = splitmix64(key ^ splitmix64(np.full(B, self.seed, dtype=np.uint64)))
         flip_mix = splitmix64(np.arange(D, dtype=np.uint64) + np.uint64(0x5BF0))
@@ -240,14 +232,6 @@ class PerturbedScoreOracle(ScoreOracle):
         if self.noise_scale == 0.0:
             return base
         return base * np.exp(self.log_noise(t, states))
-
-
-def perturb(
-    oracle: ScoreOracle, noise_scale: float, seed: int, n_buckets: int = DEFAULT_TIME_BUCKETS
-) -> PerturbedScoreOracle:
-    """Wrap `oracle` with reproducible bounded log-noise; see
-    :class:`PerturbedScoreOracle`."""
-    return PerturbedScoreOracle(oracle, noise_scale, seed, n_buckets)
 
 
 def score_entropy_loss(
@@ -265,6 +249,8 @@ def score_entropy_loss(
     ratio at forward time s answers the reverse-time query T - s. Dense
     marginals cap D at 12.
     """
+    if oracle.T != T:
+        raise ValueError(f"oracle horizon T={oracle.T} differs from the loss horizon T={T}")
     D = initial.n_bits
     if D > 12:
         raise ValueError("exact loss evaluation needs D <= 12")

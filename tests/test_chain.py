@@ -13,11 +13,9 @@ from hyperbin.chain import (
     kl_to_uniform,
     marginal_at,
     point_mass,
-    read_distribution_csv,
     sample_forward,
     transition_prob,
     uniform_distribution,
-    write_distribution_csv,
 )
 
 # interval with per-bit flip probability exactly 1/4
@@ -201,12 +199,3 @@ class TestEmpiricalInitial:
         initial = random_initial(rng, 4, 8)
         rebuilt = EmpiricalInitial.from_dense(initial.to_dense())
         assert np.abs(rebuilt.to_dense() - initial.to_dense()).max() < 1e-12
-
-
-class TestDistributionCSV:
-    def test_round_trip(self, tmp_path, rng):
-        initial = random_initial(rng, 4, 5)
-        q = marginal_at(initial, 0.3)
-        path = tmp_path / "dist.csv"
-        write_distribution_csv(path, q, header_lines=["config_hash=x"])
-        assert np.array_equal(read_distribution_csv(path), q)

@@ -141,6 +141,12 @@ class TestSampleCommand:
             ]
             assert len(lines) == 400
 
+    def test_unknown_method_exits_2(self, tmp_path, capsys, sample_config):
+        config = json.loads(open(sample_config).read())
+        path = write_config(tmp_path / "rk4.json", {**config, "method": "rk4"})
+        assert main(["sample", "--config", path, "--out", str(tmp_path / "rk4")]) == 2
+        assert "unknown method 'rk4'" in capsys.readouterr().err
+
     def test_stats_match_partition(self, tmp_path, sample_config):
         out = tmp_path / "stats_check"
         main(["sample", "--config", sample_config, "--out", str(out)])
@@ -234,6 +240,14 @@ class TestVerifyCommand:
         monkeypatch.setitem(verify_suites.SUITES, "kernel", failing)
         assert main(["verify", "--suite", "kernel"]) == 3
         assert "FAIL kernel/always_fails" in capsys.readouterr().out
+
+    def test_euler_ladder_without_match_reports_a_lower_bound(self, capsys, monkeypatch):
+        # a negative match TV leaves every ladder step unmatched
+        short = dict(n=2000, ladder=(32,), margin=1.0)
+        monkeypatch.setitem(verify_suites.SCALES["c10"], "quick", short)
+        assert main(["verify", "--suite", "euler-baseline"]) == 3
+        out = capsys.readouterr().out
+        assert "no match up to 32 steps -> evaluation ratio >= " in out
 
     def test_report_csv_records_measurement(self, tmp_path, capsys):
         assert main(["verify", "--suite", "early-stop", "--out", str(tmp_path)]) == 0

@@ -250,9 +250,7 @@ class TestSample:
     def _instance(self, seed=3, init="uniform"):
         rng = np.random.default_rng(99)
         initial = random_initial(rng, 4, 6)
-        config = SamplerConfig(
-            spec=self.spec, eps=0.1, T=2.5, delta=0.05, seed=seed, init=init
-        )
+        config = SamplerConfig(spec=self.spec, T=2.5, delta=0.05, seed=seed, init=init)
         return config, ExactScoreOracle(initial, config.T), initial
 
     def test_empty_run(self):
@@ -324,6 +322,44 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(config, FixedRateOracle([1.0] * 3, T=config.T), 10)
 
+    def test_oracle_horizon_checked(self):
+        # an oracle built for another T answers for the wrong marginals
+        config, _, initial = self._instance()
+        oracle = ExactScoreOracle(initial, config.T + 2.0)
+        with pytest.raises(ValueError, match="horizon"):
+            sample(config, oracle, 10)
+        with pytest.raises(ValueError, match="horizon"):
+            euler_sample(config, oracle, 4, 10)
+
+    def test_exact_terminal_start_has_the_forward_law_at_T(self, rng):
+        # T = 0.5 keeps the forward law at T far from uniform
+        initial = random_initial(rng, 4, 3)
+        config = SamplerConfig(spec=self.spec, T=0.5, delta=0.05, seed=0, init="exact-terminal")
+        oracle = ExactScoreOracle(initial, config.T)
+        n = 40_000
+        start = sampler._initial_states(config, oracle, n, rng)
+        counts = np.bincount(state_to_index(start), minlength=16)
+        assert tv_exact(counts / n, marginal_at(initial, config.T)) < 0.02
+
+    def test_exact_terminal_runs_above_dense_sizes(self):
+        # D = 21 is beyond any dense 2^D law; bits flip independently, so
+        # each axis's 7 bits follow the exact chain from that axis's
+        # projection of the support
+        spec = QuantizerSpec.from_grid(d=3, L=1.0, K=128)
+        initial = random_initial(np.random.default_rng(21), spec.n_bits, 8)
+        config = SamplerConfig.default_schedule(spec, 0.1, seed=21, init="exact-terminal")
+        n = 4000
+        result = sample(config, ExactScoreOracle(initial, config.T), n)
+        m = spec.m
+        # multinomial bound: E TV <= sqrt(K/n)/2, plus a McDiarmid
+        # deviation at probability 1e-6
+        bound = 0.5 * math.sqrt(spec.K / n) + math.sqrt(math.log(1e6) / (2 * n))
+        for a in range(spec.d):
+            axis = EmpiricalInitial(initial.states[:, a * m : (a + 1) * m], initial.weights)
+            target = exact_reverse_marginal(axis, config.T, config.T - config.delta)
+            index = state_to_index(result.states[:, a * m : (a + 1) * m])
+            assert tv_exact(np.bincount(index, minlength=spec.K) / n, target) < bound
+
 
 class TestKernelProperties:
     @given(
@@ -341,7 +377,7 @@ class TestKernelProperties:
         initial = random_initial(rng, D, support)
         spec = QuantizerSpec.from_grid(d=1, L=1.0, K=1 << D)
         config = SamplerConfig(
-            spec=spec, eps=0.1, T=2.0, delta=0.05, seed=seed,
+            spec=spec, T=2.0, delta=0.05, seed=seed,
             beta_mode="tight" if tight else "standard",
         )
         with mock.patch.object(sampler, "DEFAULT_CHUNK", chunk):
@@ -415,7 +451,7 @@ class TestEulerSample:
         self.spec = QuantizerSpec.from_grid(d=1, L=1.0, K=16)
         rng = np.random.default_rng(4)
         self.initial = random_initial(rng, 4, 6)
-        self.config = SamplerConfig(spec=self.spec, eps=0.1, T=2.5, delta=0.05, seed=11)
+        self.config = SamplerConfig(spec=self.spec, T=2.5, delta=0.05, seed=11)
         self.oracle = ExactScoreOracle(self.initial, self.config.T)
 
     def test_zero_rates_single_step_is_identity(self):
@@ -467,13 +503,11 @@ class TestSamplerConfig:
     def test_validation(self):
         spec = QuantizerSpec.from_grid(d=1, L=1.0, K=4)
         with pytest.raises(ValueError):
-            SamplerConfig(spec=spec, eps=0.1, T=1.0, delta=2.0, seed=0)
+            SamplerConfig(spec=spec, T=1.0, delta=2.0, seed=0)
         with pytest.raises(ValueError):
-            SamplerConfig(spec=spec, eps=0.1, T=1.0, delta=0.1, seed=0, init="bogus")
+            SamplerConfig(spec=spec, T=1.0, delta=0.1, seed=0, init="bogus")
         with pytest.raises(ValueError):
-            SamplerConfig(spec=spec, eps=0.1, T=1.0, delta=0.1, seed=0, method="rk4")
-        with pytest.raises(ValueError):
-            SamplerConfig(spec=spec, eps=0.1, T=1.0, delta=0.1, seed=0, beta_mode="x")
+            SamplerConfig(spec=spec, T=1.0, delta=0.1, seed=0, beta_mode="x")
 
 
 class TestCSVOutput:
@@ -481,7 +515,7 @@ class TestCSVOutput:
         spec = QuantizerSpec.from_grid(d=1, L=1.0, K=16)
         rng = np.random.default_rng(8)
         initial = random_initial(rng, 4, 4)
-        config = SamplerConfig(spec=spec, eps=0.1, T=2.0, delta=0.1, seed=5)
+        config = SamplerConfig(spec=spec, T=2.0, delta=0.1, seed=5)
         oracle = ExactScoreOracle(initial, config.T)
         result = sample(config, oracle, 1000)
         part = config.partition()
@@ -500,7 +534,7 @@ class TestCSVOutput:
         spec = QuantizerSpec.from_grid(d=2, L=1.0, K=4)
         rng = np.random.default_rng(8)
         initial = random_initial(rng, 4, 4)
-        config = SamplerConfig(spec=spec, eps=0.1, T=2.0, delta=0.1, seed=5)
+        config = SamplerConfig(spec=spec, T=2.0, delta=0.1, seed=5)
         result = sample(config, ExactScoreOracle(initial, config.T), 50)
         path = tmp_path / "samples.csv"
         write_samples_csv(path, result, header_lines=["config_hash=z"])

@@ -10,12 +10,12 @@ from conftest import random_initial
 from hyperbin.bits import all_states, index_to_state
 from hyperbin.chain import EmpiricalInitial, marginal_at
 from hyperbin.scores import (
+    TIME_BUCKETS,
     ExactScoreOracle,
     PerturbedScoreOracle,
     ScoreOracle,
     bregman_phi,
     calibrate_noise_scale,
-    perturb,
     score_entropy_loss,
 )
 
@@ -75,10 +75,9 @@ class TestExactOracle:
         # has odds (1 - e^-2s)/(1 + e^-2s) = tanh(s) at forward time s
         initial = EmpiricalInitial(states=np.zeros((1, 1), np.uint8), weights=np.array([1.0]))
         oracle = ExactScoreOracle(initial, T=3.0)
-        for t in (0.0, 1.0, 2.5):
-            s = 3.0 - t
-            got = oracle.ratio(t, np.zeros(1, np.uint8), 0)
-            assert got == pytest.approx(math.tanh(s), rel=1e-12)
+        t = np.array([0.0, 1.0, 2.5])
+        got = oracle.ratio_all(t, np.zeros((3, 1), np.uint8))[:, 0]
+        assert got == pytest.approx(np.tanh(3.0 - t), rel=1e-12)
 
     def test_uniform_initial_gives_unit_ratios(self, rng):
         D = 5
@@ -94,7 +93,7 @@ class TestExactOracle:
         assert np.abs(edge - 1.0).max() < 1e-12
 
     def test_matches_dense_marginals(self, rng):
-        # consistency at 1e-9 for 50 random (t, state, flip) per dimension
+        # consistency at 1e-9 for 50 random (t, state) per dimension, every flip
         for D in (2, 5, 8):
             initial = random_initial(rng, D, 6)
             T = 3.0
@@ -102,11 +101,8 @@ class TestExactOracle:
             for _ in range(50):
                 t = float(rng.uniform(0.0, T - 0.05))
                 state = rng.integers(0, 2, D).astype(np.uint8)
-                flip = int(rng.integers(0, D))
-                expected = dense_ratios(initial, T, t)[
-                    int(state_index := np.dot(state, 1 << np.arange(D))), flip
-                ]
-                got = oracle.ratio(t, state, flip)
+                expected = dense_ratios(initial, T, t)[np.dot(state, 1 << np.arange(D))]
+                got = oracle.ratio_all(t, state[None, :])[0]
                 assert got == pytest.approx(expected, rel=1e-9)
 
     def test_extreme_tail_agreement(self, rng):
@@ -185,11 +181,11 @@ class TestExactOracle:
         initial = random_initial(rng, 3, 2)
         oracle = ExactScoreOracle(initial, T=1.0)
         with pytest.raises(ValueError):
-            oracle.ratio(1.0, np.zeros(3, np.uint8), 0)  # t == T
+            oracle.ratio_all(1.0, np.zeros((1, 3), np.uint8))  # t == T
         with pytest.raises(ValueError):
-            oracle.ratio(0.5, np.zeros(3, np.uint8), 3)  # flip out of range
+            oracle.ratio_all(-0.1, np.zeros((1, 3), np.uint8))
         with pytest.raises(ValueError):
-            oracle.ratio(-0.1, np.zeros(3, np.uint8), 0)
+            oracle.ratio_all(0.5, np.zeros((1, 4), np.uint8))  # wrong state size
 
 
 class TestOracleProperties:
@@ -278,12 +274,19 @@ class TestScoreEntropyLoss:
         with pytest.raises(ValueError):
             score_entropy_loss(oracle, initial, 1.0, np.array([0.5, 0.4]))
 
+    def test_rejects_mismatched_horizon(self, rng):
+        # the oracle would answer reverse time T - s of another horizon
+        initial = random_initial(rng, 3, 3)
+        oracle = ExactScoreOracle(initial, 2.0)
+        with pytest.raises(ValueError, match="horizon"):
+            score_entropy_loss(oracle, initial, 1.0, np.linspace(0.1, 1.0, 5))
+
 
 class TestPerturbedOracle:
     def test_zero_scale_is_identity(self, rng):
         initial = random_initial(rng, 5, 4)
         exact = ExactScoreOracle(initial, 2.0)
-        perturbed = perturb(exact, 0.0, seed=1)
+        perturbed = PerturbedScoreOracle(exact, 0.0, seed=1)
         states = rng.integers(0, 2, (20, 5)).astype(np.uint8)
         t = rng.uniform(0, 1.99, 20)
         assert np.array_equal(perturbed.ratio_all(t, states), exact.ratio_all(t, states))
@@ -306,7 +309,7 @@ class TestPerturbedOracle:
         noise = oracle.log_noise(1.0, states)
         assert np.abs(noise).max() <= 0.15
         # same bucket -> identical noise; different bucket -> fresh noise
-        width = 2.0 / oracle.n_buckets
+        width = 2.0 / TIME_BUCKETS
         same = oracle.log_noise(1.0 + 0.4 * width, states)
         other = oracle.log_noise(1.0 + 1.4 * width, states)
         assert np.array_equal(noise, same)
