@@ -17,13 +17,10 @@ from .quantizer import (
 from .chain import (
     EmpiricalInitial,
     flip_probability,
-    transition_prob,
     sample_forward,
     marginal_at,
     dense_rate_matrix,
     kl_to_uniform,
-    uniform_distribution,
-    point_mass,
 )
 from .scores import (
     ScoreOracle,

@@ -53,19 +53,6 @@ def hamming_to_rows(states: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.rint(ham).astype(np.int64)
 
 
-def random_states(rng: np.random.Generator, n: int, D: int) -> np.ndarray:
-    return rng.integers(0, 2, size=(n, D), dtype=np.uint8)
-
-
-def validate_state(bits: np.ndarray, D: int) -> np.ndarray:
-    bits = np.asarray(bits)
-    if bits.shape[-1] != D:
-        raise ValueError(f"state has {bits.shape[-1]} bits, expected {D}")
-    if not np.isin(bits, (0, 1)).all():
-        raise ValueError("state entries must be 0 or 1")
-    return bits.astype(np.uint8)
-
-
 def splitmix64(x: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer; a cheap vectorized PRF used for reproducible
     perturbation noise. Operates on uint64 arrays with wraparound."""

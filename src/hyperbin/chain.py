@@ -18,9 +18,7 @@ from .bits import (
     MAX_DENSE_BITS,
     all_states,
     hamming_to_rows,
-    index_to_state,
     state_to_index,
-    validate_state,
 )
 
 MAX_RATE_MATRIX_BITS = 12
@@ -31,18 +29,6 @@ DISTRIBUTION_ATOL = 1e-12
 def flip_probability(dt: float | np.ndarray) -> float | np.ndarray:
     """Per-bit flip probability over an interval of length dt >= 0."""
     return 0.5 * -np.expm1(-2.0 * np.asarray(dt, dtype=np.float64))
-
-
-def transition_prob(D: int, s: float, t: float, start: np.ndarray, end: np.ndarray) -> float:
-    """Probability that the chain sits at `end` at time t given `start` at
-    time s <= t. Product of per-bit stay/flip factors."""
-    if t < s:
-        raise ValueError(f"need t >= s, got s={s}, t={t}")
-    start = validate_state(start, D)
-    end = validate_state(end, D)
-    pf = float(flip_probability(t - s))
-    flips = int(np.count_nonzero(start != end))
-    return pf**flips * (1.0 - pf) ** (D - flips)
 
 
 def sample_forward(
@@ -92,13 +78,6 @@ class EmpiricalInitial:
         states = np.atleast_2d(np.asarray(states, dtype=np.uint8))
         uniq, counts = np.unique(states, axis=0, return_counts=True)
         return cls(states=uniq, weights=counts / counts.sum())
-
-    @classmethod
-    def from_dense(cls, probs: np.ndarray) -> "EmpiricalInitial":
-        probs = check_distribution(probs)
-        D = int(np.log2(len(probs)))
-        support = np.flatnonzero(probs > 0)
-        return cls(states=index_to_state(support, D), weights=probs[support])
 
     def to_dense(self) -> np.ndarray:
         """Explicit 2^D probability vector (D <= MAX_DENSE_BITS)."""
@@ -163,13 +142,3 @@ def kl_to_uniform(probs: np.ndarray) -> float:
     nz = probs > 0
     p = probs[nz]
     return float(np.sum(p * np.log(p * probs.shape[0])))
-
-
-def uniform_distribution(D: int) -> np.ndarray:
-    return np.full(1 << D, 1.0 / (1 << D))
-
-
-def point_mass(D: int, index: int) -> np.ndarray:
-    probs = np.zeros(1 << D)
-    probs[index] = 1.0
-    return probs

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,16 +23,14 @@ import numpy as np
 class QuantizerSpec:
     """Geometry of the quantization grid.
 
-    d: data dimension; L: cube half-side; K: bins per axis (power of two);
-    l: cell width, always 2L/K; m: bits per axis, log2(K). The optional
-    fields record the constants the grid was derived from, if any.
+    d: data dimension; L: cube half-side; K: bins per axis (power of two).
+    The optional fields record the constants the grid was derived from, if
+    any.
     """
 
     d: int
     L: float
     K: int
-    l: float
-    m: int
     sigma: float | None = None
     H: float | None = None
     m0: float | None = None
@@ -41,12 +39,20 @@ class QuantizerSpec:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be a positive integer")
-        if not (self.L > 0 and self.l > 0):
-            raise ValueError("L and l must be positive")
-        if self.K < 2 or self.K != 1 << self.m:
-            raise ValueError(f"K={self.K} must equal 2^m with m >= 1")
-        if not math.isclose(self.K * self.l, 2 * self.L, rel_tol=1e-9):
-            raise ValueError("cells must tile the cube: K*l == 2L")
+        if not self.L > 0:
+            raise ValueError("L must be positive")
+        if self.K < 2 or self.K & (self.K - 1):
+            raise ValueError(f"K={self.K} is not a power of two >= 2")
+
+    @property
+    def l(self) -> float:
+        """Cell width 2L/K."""
+        return 2.0 * self.L / self.K
+
+    @property
+    def m(self) -> int:
+        """Bits per axis, log2(K)."""
+        return self.K.bit_length() - 1
 
     @property
     def n_bits(self) -> int:
@@ -60,10 +66,7 @@ class QuantizerSpec:
         Intended for datasets without certified tail/smoothness constants;
         K must already be a power of two.
         """
-        if K < 2 or K & (K - 1):
-            raise ValueError(f"K={K} is not a power of two >= 2")
-        m = K.bit_length() - 1
-        return cls(d=d, L=float(L), K=K, l=2.0 * float(L) / K, m=m)
+        return cls(d=d, L=float(L), K=K)
 
 
 def derive_spec(d: int, sigma: float, H: float, m0: float, eps: float) -> QuantizerSpec:
@@ -85,10 +88,7 @@ def derive_spec(d: int, sigma: float, H: float, m0: float, eps: float) -> Quanti
     l_raw = eps / (2.0 * H * (sigma * math.sqrt(2.0 * d * log_term) + d + math.sqrt(d * m0)))
     K_raw = 2.0 * L / l_raw
     m = max(1, math.ceil(math.log2(K_raw)))
-    K = 1 << m
-    return QuantizerSpec(
-        d=d, L=L, K=K, l=2.0 * L / K, m=m, sigma=sigma, H=H, m0=m0, eps=eps
-    )
+    return QuantizerSpec(d=d, L=L, K=1 << m, sigma=sigma, H=H, m0=m0, eps=eps)
 
 
 def quantize_point(spec: QuantizerSpec, x: np.ndarray) -> np.ndarray:
@@ -160,8 +160,7 @@ def quantize_dataset(spec: QuantizerSpec, points: np.ndarray) -> np.ndarray:
 def save_spec(spec: QuantizerSpec, path, config_hash: str | None = None) -> None:
     """Write the spec as a flat JSON object (keys d, sigma, H, m0, eps, L, l, K,
     plus an optional provenance hash)."""
-    fields = asdict(spec)
-    payload = {k: fields[k] for k in ("d", "sigma", "H", "m0", "eps", "L", "l", "K")}
+    payload = {k: getattr(spec, k) for k in ("d", "sigma", "H", "m0", "eps", "L", "l", "K")}
     if config_hash is not None:
         payload["config_hash"] = config_hash
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -169,27 +168,29 @@ def save_spec(spec: QuantizerSpec, path, config_hash: str | None = None) -> None
 
 def load_spec(path) -> QuantizerSpec:
     payload = json.loads(Path(path).read_text())
-    K = int(payload["K"])
-    spec = QuantizerSpec.from_grid(d=int(payload["d"]), L=float(payload["L"]), K=K)
     extras = {
         k: (float(payload[k]) if payload.get(k) is not None else None)
         for k in ("sigma", "H", "m0", "eps")
     }
-    return QuantizerSpec(d=spec.d, L=spec.L, K=spec.K, l=spec.l, m=spec.m, **extras)
+    return QuantizerSpec(d=int(payload["d"]), L=float(payload["L"]), K=int(payload["K"]), **extras)
 
 
 def read_points_csv(path) -> np.ndarray:
-    """Read an (N, d) point set: one row per point, float columns, optional
-    header row. Malformed rows, non-finite values (nan, inf) and rows of
-    the wrong width are reported with their line number."""
+    """Read an (N, d) point set: one row per point, float columns. Empty
+    and `#` comment lines are skipped; the first other row may be a header.
+    Malformed rows, non-finite values (nan, inf) and rows of the wrong
+    width are reported with their line number."""
     rows = []
+    header_allowed = True
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for line_no, row in enumerate(reader, start=1):
-            if not row or (line_no == 1 and _is_header(row)):
+            if not row or row[0].startswith("#"):
                 continue
-            if row and row[0].startswith("#"):
-                continue
+            if header_allowed:
+                header_allowed = False
+                if _is_header(row):
+                    continue
             try:
                 values = [float(v) for v in row]
             except ValueError as exc:

@@ -168,21 +168,6 @@ class RunStats:
     clipped_steps: int = 0
     events_per_segment: np.ndarray | None = None
 
-    def merge(self, other: "RunStats") -> "RunStats":
-        eps_a, eps_b = self.events_per_segment, other.events_per_segment
-        if eps_a is None:
-            seg = None if eps_b is None else eps_b.copy()
-        else:
-            seg = eps_a.copy() if eps_b is None else eps_a + eps_b
-        return RunStats(
-            score_evals=self.score_evals + other.score_evals,
-            poisson_events=self.poisson_events + other.poisson_events,
-            accepted_moves=self.accepted_moves + other.accepted_moves,
-            truncation_activations=self.truncation_activations + other.truncation_activations,
-            clipped_steps=self.clipped_steps + other.clipped_steps,
-            events_per_segment=seg,
-        )
-
 
 @dataclass(frozen=True)
 class SampleResult:
@@ -344,9 +329,15 @@ def _run_chunks(config, oracle, n_samples, runner, rng_tag):
             chunk_stats = list(pool.map(run_one, range(len(bounds))))
     else:
         chunk_stats = [run_one(i) for i in range(len(bounds))]
-    total = RunStats()
-    for st in chunk_stats:
-        total = total.merge(st)
+    total = chunk_stats[0]
+    for st in chunk_stats[1:]:
+        total.score_evals += st.score_evals
+        total.poisson_events += st.poisson_events
+        total.accepted_moves += st.accepted_moves
+        total.truncation_activations += st.truncation_activations
+        total.clipped_steps += st.clipped_steps
+        if total.events_per_segment is not None:  # None for Euler
+            total.events_per_segment += st.events_per_segment
     return SampleResult(x=x, states=states, stats=total)
 
 

@@ -5,17 +5,14 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import random_initial
-from hyperbin.bits import all_states, state_to_index
+from hyperbin.bits import all_states, index_to_state, state_to_index
 from hyperbin.chain import (
     EmpiricalInitial,
     dense_rate_matrix,
     flip_probability,
     kl_to_uniform,
     marginal_at,
-    point_mass,
     sample_forward,
-    transition_prob,
-    uniform_distribution,
 )
 
 # interval with per-bit flip probability exactly 1/4
@@ -33,22 +30,23 @@ def kernel_matrix(D, dt):
 
 class TestTransitionProb:
     def test_zero_interval_is_identity(self):
-        y = np.array([1, 0, 1], dtype=np.uint8)
-        z = np.array([1, 1, 1], dtype=np.uint8)
-        assert transition_prob(3, 0.5, 0.5, y, y) == 1.0
-        assert transition_prob(3, 0.5, 0.5, y, z) == 0.0
+        y = state_to_index(np.array([1, 0, 1], dtype=np.uint8))
+        z = state_to_index(np.array([1, 1, 1], dtype=np.uint8))
+        K = kernel_matrix(3, 0.0)
+        assert K[y, y] == 1.0
+        assert K[z, y] == 0.0
 
     def test_long_interval_is_uniform(self):
-        y = np.zeros(4, dtype=np.uint8)
-        z = np.array([1, 0, 1, 1], dtype=np.uint8)
-        assert transition_prob(4, 0.0, 50.0, y, z) == pytest.approx(2.0**-4, abs=1e-12)
+        y = state_to_index(np.zeros(4, dtype=np.uint8))
+        z = state_to_index(np.array([1, 0, 1, 1], dtype=np.uint8))
+        assert kernel_matrix(4, 50.0)[z, y] == pytest.approx(2.0**-4, abs=1e-12)
 
     def test_single_flip_reference_value(self):
         # e^(-2 dt) = 1/2 -> per-bit flip probability 1/4; one flip out of
         # three fixed bits carries probability 0.25 * 0.75^2 = 0.140625
-        y = np.zeros(3, dtype=np.uint8)
-        z = np.array([1, 0, 0], dtype=np.uint8)
-        assert transition_prob(3, 0.0, DT_QUARTER, y, z) == pytest.approx(0.140625, abs=1e-12)
+        y = state_to_index(np.zeros(3, dtype=np.uint8))
+        z = state_to_index(np.array([1, 0, 0], dtype=np.uint8))
+        assert kernel_matrix(3, DT_QUARTER)[z, y] == pytest.approx(0.140625, abs=1e-12)
 
     def test_matches_matrix_exponential(self):
         # dense generator exponential as the independent oracle
@@ -58,10 +56,10 @@ class TestTransitionProb:
                 oracle = expm(dt * R)
                 assert np.abs(kernel_matrix(D, dt) - oracle).max() < 1e-9
 
-    def test_rejects_reversed_times(self):
+    def test_rejects_reversed_times(self, rng):
         y = np.zeros(2, dtype=np.uint8)
         with pytest.raises(ValueError):
-            transition_prob(2, 1.0, 0.5, y, y)
+            sample_forward(2, y, 1.0, 0.5, rng)
 
     def test_kernel_doubly_stochastic(self):
         K = kernel_matrix(5, 0.7)
@@ -105,7 +103,7 @@ class TestMarginal:
     def test_long_time_is_uniform(self, rng):
         initial = random_initial(rng, 6, 4)
         q = marginal_at(initial, 50.0)
-        assert 0.5 * np.abs(q - uniform_distribution(6)).sum() < 1e-9
+        assert 0.5 * np.abs(q - np.full(2**6, 2.0**-6)).sum() < 1e-9
 
     def test_point_mass_closed_form(self):
         initial = EmpiricalInitial(states=np.zeros((1, 1), np.uint8), weights=np.array([1.0]))
@@ -155,10 +153,10 @@ class TestRateMatrix:
 
 class TestKL:
     def test_uniform_is_zero(self):
-        assert kl_to_uniform(uniform_distribution(5)) == pytest.approx(0.0, abs=1e-12)
+        assert kl_to_uniform(np.full(2**5, 2.0**-5)) == pytest.approx(0.0, abs=1e-12)
 
     def test_point_mass(self):
-        assert kl_to_uniform(point_mass(4, 3)) == pytest.approx(math.log(16), rel=1e-12)
+        assert kl_to_uniform(np.eye(16)[3]) == pytest.approx(math.log(16), rel=1e-12)
 
     def test_evolved_point_mass_reference(self):
         # per-bit closed form at t = 1, D = 4; frozen from the formula
@@ -197,5 +195,7 @@ class TestEmpiricalInitial:
 
     def test_round_trip_dense(self, rng):
         initial = random_initial(rng, 4, 8)
-        rebuilt = EmpiricalInitial.from_dense(initial.to_dense())
+        p = initial.to_dense()
+        support = np.flatnonzero(p)
+        rebuilt = EmpiricalInitial(states=index_to_state(support, 4), weights=p[support])
         assert np.abs(rebuilt.to_dense() - initial.to_dense()).max() < 1e-12

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from hyperbin import verify as verify_suites
 from hyperbin.cli import main
 from hyperbin.quantizer import load_spec, read_states_csv
-from hyperbin.sampler import build_partition
+from hyperbin.sampler import TimePartition, beta_value, build_partition
 
 
 def write_config(path, config):
@@ -205,6 +206,15 @@ class TestSampleCommand:
         assert len(rows) == 10
         assert all(len(r[2]) == 80 and int(r[1]) == int(r[2][::-1], 2) for r in rows)
 
+    def test_header_after_provenance_lines(self, tmp_path):
+        points = tmp_path / "points.csv"
+        points.write_text("# source=demo\nx0\n0.5\n-1.0")
+        config = write_config(
+            tmp_path / "c.json",
+            {"target": {"csv": str(points)}, "quantizer": {"d": 1, "L": 2.0, "K": 8}, "n_samples": 50},
+        )
+        assert main(["sample", "--config", config, "--out", str(tmp_path / "o")]) == 0
+
     def test_quantize_and_sample_share_config_hash(self, tmp_path, sample_config):
         q, s = tmp_path / "q", tmp_path / "s"
         assert main(["quantize", "--config", sample_config, "--seed", "9", "--out", str(q)]) == 0
@@ -248,6 +258,23 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "euler-baseline"]) == 3
         out = capsys.readouterr().out
         assert "no match up to 32 steps -> evaluation ratio >= " in out
+
+    def test_partition_event_count_follows_seed(self, capsys):
+        means = []
+        for seed in ("0", "1"):
+            assert main(["verify", "--suite", "partition", "--seed", seed]) == 0
+            means.append(re.search(r"empirical mean (\S+)", capsys.readouterr().out).group(1))
+        assert means[0] != means[1]
+
+    def test_partition_catches_left_endpoint_caps(self, monkeypatch):
+        def left_caps(D, T, delta, beta_mode="standard"):
+            part = build_partition(D, T, delta, beta_mode)
+            betas = beta_value(D, T, part.times[:-1], beta_mode)
+            return TimePartition(part.times, betas, part.T, part.delta, D)
+
+        monkeypatch.setattr(verify_suites, "build_partition", left_caps)
+        [row] = verify_suites.check_c04("quick", 0)
+        assert not row.passed and "50 invalid grids" in row.detail
 
     def test_report_csv_records_measurement(self, tmp_path, capsys):
         assert main(["verify", "--suite", "early-stop", "--out", str(tmp_path)]) == 0

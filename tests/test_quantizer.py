@@ -236,6 +236,11 @@ class TestSerialization:
         path.write_text("0.5\n1.25\n")
         assert read_points_csv(path).shape == (2, 1)
 
+    def test_points_csv_header_after_comments(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("# source=demo\nx0\n0.5\n-1.0")
+        assert read_points_csv(path).ravel().tolist() == [0.5, -1.0]
+
     def test_points_csv_reports_bad_row(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("0.5\noops\n1.0\n")
