@@ -20,6 +20,8 @@ from .chain import dense_rate_matrix
 KINDS = ("tridiagonal", "dense", "hypercube")
 
 MAX_STATES = 4096
+MIXING_TV = 0.01
+MIXING_TOL = 1e-4
 
 
 def _n_states(kind: str, size: int) -> int:
@@ -70,29 +72,27 @@ def heat_kernel(kind: str, size: int, t: float) -> np.ndarray:
     return expm(t * build_rate_matrix(kind, size))
 
 
-def mixing_time(
-    kind: str, size: int, tv_target: float = 0.01, start: int = 0, tol: float = 1e-4
-) -> float:
-    """Smallest t (to tolerance, by bisection) at which the chain started
-    at `start` is within tv_target of uniform."""
+def mixing_time(kind: str, size: int) -> float:
+    """Smallest t (to relative tolerance MIXING_TOL, by bisection) at which
+    the chain started at state 0 is within MIXING_TV of uniform."""
     R = build_rate_matrix(kind, size)
     n = R.shape[0]
     p0 = np.zeros(n)
-    p0[start] = 1.0
+    p0[0] = 1.0
 
     def tv_at(t: float) -> float:
         pt = expm(t * R) @ p0
         return 0.5 * float(np.abs(pt - 1.0 / n).sum())
 
     hi = 1.0
-    while tv_at(hi) > tv_target:
+    while tv_at(hi) > MIXING_TV:
         hi *= 2.0
         if hi > 1e6:
             raise RuntimeError("mixing time search diverged")
     lo = 0.0
-    while hi - lo > tol * max(hi, 1.0):
+    while hi - lo > MIXING_TOL * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
-        if tv_at(mid) > tv_target:
+        if tv_at(mid) > MIXING_TV:
             lo = mid
         else:
             hi = mid

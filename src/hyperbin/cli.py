@@ -33,7 +33,14 @@ from .quantizer import (
     save_spec,
     write_states_csv,
 )
-from .sampler import SamplerConfig, euler_sample, sample, write_samples_csv, write_stats_csv
+from .sampler import (
+    SamplerConfig,
+    euler_sample,
+    euler_steps,
+    sample,
+    write_samples_csv,
+    write_stats_csv,
+)
 from .scores import ExactScoreOracle
 
 SAMPLE_METHODS = ("uniformization", "euler")
@@ -128,9 +135,9 @@ def build_sampler_config(config: dict, spec: QuantizerSpec, seed: int) -> Sample
         raise ConfigError(f"bad sampler config: {exc}") from exc
 
 
-def _out_dir(args, config: dict) -> Path:
-    out = args.out or os.environ.get("HYPERBIN_OUT") or config.get("out") or "."
-    path = Path(out)
+def _out_dir(args) -> Path:
+    """`--out`, else `HYPERBIN_OUT`, else the working directory; made if missing."""
+    path = Path(args.out or os.environ.get("HYPERBIN_OUT") or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -144,7 +151,7 @@ def cmd_quantize(args) -> int:
     if points.shape[1] != spec.d:
         raise ConfigError(f"target has d={points.shape[1]} but quantizer has d={spec.d}")
     states = quantize_dataset(spec, points)
-    out = _out_dir(args, config)
+    out = _out_dir(args)
     write_states_csv(out / "states.csv", states, header_lines=[f"config_hash={chash}"])
     save_spec(spec, out / "spec.json", config_hash=chash)
     print(f"quantized {len(states)} points to {out / 'states.csv'} (D={spec.n_bits})")
@@ -170,14 +177,14 @@ def cmd_sample(args) -> int:
     if method == "euler":
         n_steps = int(config.get("n_steps", 64))
         result = euler_sample(run_config, oracle, n_steps, n_samples)
+        partition = euler_steps(run_config, n_steps)
     else:
         result = sample(run_config, oracle, n_samples)
-    out = _out_dir(args, config)
+        partition = run_config.partition()
+    out = _out_dir(args)
     header = [f"config_hash={chash}"]
     write_samples_csv(out / "samples.csv", result, header_lines=header)
-    write_stats_csv(
-        out / "stats.csv", run_config.partition(), result.stats, n_samples, header_lines=header
-    )
+    write_stats_csv(out / "stats.csv", partition, result.stats, n_samples, header_lines=header)
     save_spec(spec, out / "spec.json", config_hash=chash)
     print(
         f"wrote {n_samples} samples to {out / 'samples.csv'} "
@@ -200,10 +207,8 @@ def cmd_verify(args) -> int:
     failed = [r for r in rows if not r.passed]
     for r in rows:
         print(f"{'PASS' if r.passed else 'FAIL'} {args.suite}/{r.name}: {r.detail}")
-    out_override = args.out or os.environ.get("HYPERBIN_OUT")
-    if out_override:
-        out = Path(out_override)
-        out.mkdir(parents=True, exist_ok=True)
+    if args.out or os.environ.get("HYPERBIN_OUT"):  # the table is written only on request
+        out = _out_dir(args)
         chash = config_hash({"suite": args.suite, "seed": seed})
         write_metrics_csv(
             out / f"verify_{args.suite}.csv",
@@ -228,8 +233,7 @@ def cmd_adjacency_report(args) -> int:
     if n < 2 or n & (n - 1):
         print("--size must be a power of two >= 2 (shared across structures)", file=sys.stderr)
         return 2
-    out = Path(args.out or os.environ.get("HYPERBIN_OUT") or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     chash = config_hash({"size": n})
     times = [0.01, 0.1, 0.5, 2.0]
     lines = [f"config_hash={chash}"]

@@ -11,6 +11,8 @@ import numpy as np
 from .chain import check_distribution
 from .quantizer import QuantizerSpec, quantize_point
 
+QUADRATURE_ORDER = 16
+
 
 def tv_exact(p: np.ndarray, q: np.ndarray) -> float:
     """Total variation distance 0.5 * sum |p - q| between dense laws."""
@@ -73,7 +75,7 @@ def tv_plugin(samples: EmpiricalLaw, q: np.ndarray) -> float:
     return tv_exact(samples.to_dense(len(q)), q)
 
 
-def _gauss_legendre_cells(spec: QuantizerSpec, density, order: int = 16) -> np.ndarray:
+def _gauss_legendre_cells(spec: QuantizerSpec, density) -> np.ndarray:
     """Integral of `density` over every cell of the grid, flat (K^d,) array
     in C order over the grid indices.
 
@@ -82,7 +84,7 @@ def _gauss_legendre_cells(spec: QuantizerSpec, density, order: int = 16) -> np.n
     """
     if spec.d > 3:
         raise ValueError("cell integration supports d <= 3")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
     half = spec.l / 2.0
     # Node offsets and weights for one cell: (order^d, d) and (order^d,).
     offset_axes = np.meshgrid(*([nodes * half] * spec.d), indexing="ij")
@@ -106,20 +108,18 @@ def _gauss_legendre_cells(spec: QuantizerSpec, density, order: int = 16) -> np.n
     return mass
 
 
-def tv_continuous_histogram(
-    samples: np.ndarray, density, spec: QuantizerSpec, order: int = 16
-) -> float:
+def tv_continuous_histogram(samples: np.ndarray, density, spec: QuantizerSpec) -> float:
     """TV between the sample histogram on the grid and the analytic density.
 
     Samples are binned with the quantizer; the density is integrated per
-    cell (Gauss-Legendre `order` points per axis) and its mass outside the
-    cube counts fully toward the distance. `density` maps (N, d) points to
-    densities.
+    cell (QUADRATURE_ORDER Gauss-Legendre points per axis) and its mass
+    outside the cube counts fully toward the distance. `density` maps
+    (N, d) points to densities.
     """
     pts = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if pts.shape[0] == 0:
         raise ValueError("no samples")
-    cell_mass = _gauss_legendre_cells(spec, density, order)
+    cell_mass = _gauss_legendre_cells(spec, density)
     tail = 1.0 - float(cell_mass.sum())
     idx = quantize_point(spec, pts)
     flat = np.ravel_multi_index(tuple(idx.T), (spec.K,) * spec.d)

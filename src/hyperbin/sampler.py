@@ -49,7 +49,8 @@ def beta_value(D: int, T: float, t, mode: str = "standard"):
 @dataclass(frozen=True)
 class TimePartition:
     """Segment endpoints 0 = t_0 < ... < t_W = T - delta with per-segment
-    caps beta_w evaluated at each segment's right endpoint."""
+    caps beta_w: at each segment's right endpoint for uniformization
+    (:func:`build_partition`), at its left end for Euler (:func:`euler_steps`)."""
 
     times: np.ndarray
     betas: np.ndarray
@@ -112,6 +113,14 @@ def build_partition(
     times = np.asarray(times)
     betas = beta_value(D, T, times[1:], beta_mode)
     return TimePartition(times=times, betas=betas, T=float(T), delta=float(delta), n_bits=D)
+
+
+def euler_steps(config: SamplerConfig, n_steps: int) -> TimePartition:
+    """The Euler baseline's n_steps equal steps over [0, T - delta], each
+    with the cap beta at its left end, where the step queries the oracle."""
+    times = np.arange(n_steps + 1) * ((config.T - config.delta) / n_steps)
+    betas = beta_value(config.n_bits, config.T, times[:-1], config.beta_mode)
+    return TimePartition(times, betas, config.T, config.delta, config.n_bits)
 
 
 @dataclass(frozen=True)
@@ -255,26 +264,21 @@ def _uniformize_chunk(
 ) -> RunStats:
     """Advance a chunk of replicas through all segments in place.
 
-    Replicas share segment boundaries, so events are processed in lockstep
-    slots: slot k touches every replica that drew at least k events in the
-    current segment.
+    On segment [t_lo, t_hi) with cap beta, each replica's candidate events
+    come at Exp(beta) gaps from t_lo, a Poisson process of rate beta. Each
+    pass queries every replica whose next event still falls before t_hi.
     """
-    B = len(states)
     stats = RunStats(events_per_segment=np.zeros(partition.n_segments, dtype=np.int64))
     for w, (t_lo, t_hi, beta) in enumerate(partition.segments()):
-        counts = rng.poisson(beta * (t_hi - t_lo), size=B)
-        max_events = int(counts.max()) if B else 0
-        if max_events == 0:
-            continue
-        times = rng.random((B, max_events)) * (t_hi - t_lo) + t_lo
-        times[np.arange(max_events)[None, :] >= counts[:, None]] = np.inf
-        times.sort(axis=1, kind="stable")
-        for k in range(max_events):
-            active = np.flatnonzero(counts > k)
-            rates = oracle.ratio_all(times[active, k], states[active])
+        t = t_lo + rng.exponential(1.0 / beta, len(states))
+        active = np.flatnonzero(t < t_hi)
+        while len(active):
+            rates = oracle.ratio_all(t[active], states[active])
             _jump(states, active, rates, beta, None, rng, stats)
-            stats.poisson_events += len(active)
-        stats.events_per_segment[w] += int(counts.sum())
+            stats.events_per_segment[w] += len(active)
+            t[active] += rng.exponential(1.0 / beta, len(active))
+            active = active[t[active] < t_hi]
+    stats.poisson_events = int(stats.events_per_segment.sum())
     return stats
 
 
@@ -285,13 +289,10 @@ def _euler_chunk(
     states: np.ndarray,
     rng: np.random.Generator,
 ) -> RunStats:
-    B, D = states.shape
     stats = RunStats()
-    rows = np.arange(B)
+    rows = np.arange(len(states))
     h = (config.T - config.delta) / n_steps
-    for k in range(n_steps):
-        t = k * h
-        beta = beta_value(D, config.T, t, config.beta_mode)
+    for t, _, beta in euler_steps(config, n_steps).segments():
         _jump(states, rows, oracle.ratio_all(t, states), beta, h, rng, stats)
     return stats
 
@@ -347,9 +348,9 @@ def sample(config: SamplerConfig, oracle: ScoreOracle, n_samples: int) -> Sample
     Every replica starts from the configured initial law, traverses the
     partition segment by segment, and is decoded to a continuous point by
     inverting the binary encoding and drawing uniformly inside the cell.
-    Replicas advance in lockstep chunks of DEFAULT_CHUNK, one RNG stream
-    per chunk; chunks run on the available CPUs. The output is
-    deterministic given the seed and independent of the thread count.
+    Replicas advance in chunks of DEFAULT_CHUNK, one RNG stream per chunk;
+    chunks run on the available CPUs. The output is deterministic given
+    the seed and independent of the thread count.
     """
     _check_oracle(config, oracle)
     partition = config.partition()
@@ -387,11 +388,12 @@ def write_stats_csv(
     n_samples: int,
     header_lines: list[str] | None = None,
 ) -> None:
-    """Per-segment summary: (segment, beta, dt, events_mean, score_evals)."""
+    """Per-segment summary: (segment, beta, dt, events_mean, score_evals).
+    Euler stats, without `events_per_segment`, count one query per replica."""
     seg_events = (
         stats.events_per_segment
         if stats.events_per_segment is not None
-        else np.zeros(partition.n_segments, dtype=np.int64)
+        else np.full(partition.n_segments, n_samples, dtype=np.int64)
     )
     with open(path, "w", newline="") as fh:
         for line in header_lines or []:

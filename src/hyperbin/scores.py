@@ -35,6 +35,9 @@ _CHUNK_ELEMENTS = 1 << 24
 # Uniform slices of [0, T) within which a perturbed oracle's noise is fixed.
 TIME_BUCKETS = 64
 
+# Relative tolerance at which calibrate_noise_scale stops bisecting.
+CALIBRATION_TOL = 1e-3
+
 
 def bregman_phi(u, w):
     """Bregman divergence generated by phi(c) = c ln c:
@@ -279,10 +282,9 @@ def calibrate_noise_scale(
     target_loss: float,
     seed: int,
     time_grid: np.ndarray,
-    tol: float = 1e-3,
 ) -> PerturbedScoreOracle:
     """Bisect the noise scale of a perturbed oracle until its measured
-    score-entropy loss matches `target_loss` to relative tolerance."""
+    score-entropy loss matches `target_loss` to CALIBRATION_TOL."""
     exact = ExactScoreOracle(initial, T)
 
     def loss_at(scale: float) -> float:
@@ -301,6 +303,6 @@ def calibrate_noise_scale(
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol * hi:
+        if hi - lo < CALIBRATION_TOL * hi:
             break
     return PerturbedScoreOracle(exact, 0.5 * (lo + hi), seed)

@@ -91,7 +91,7 @@ class TestMixing:
             assert t_dense <= t_hyper <= t_tri
 
     def test_mixing_time_brackets_target(self):
-        t = mixing_time("dense", 8, tv_target=0.01)
+        t = mixing_time("dense", 8)
         R = build_rate_matrix("dense", 8)
         p0 = np.zeros(8)
         p0[0] = 1.0

@@ -165,6 +165,24 @@ class TestSampleCommand:
         total = sum(float(r[1]) * float(r[2]) for r in rows)
         assert total == pytest.approx(part.expected_events(), rel=1e-9)
 
+    def test_euler_stats_have_one_row_per_step(self, tmp_path, capsys, sample_config):
+        config = json.loads(open(sample_config).read())
+        path = write_config(tmp_path / "euler.json", {**config, "n_steps": 16})
+        out = tmp_path / "euler"
+        assert main(["sample", "--config", path, "--out", str(out), "--method", "euler"]) == 0
+        printed = int(re.search(r"score_evals=(\d+)", capsys.readouterr().out).group(1))
+        with open(out / "stats.csv", newline="") as fh:
+            rows = [r for r in csv.reader(fh) if not r[0].startswith("#")][1:]
+        spec = load_spec(out / "spec.json")
+        eps = config["sampler"]["eps"]
+        T = math.log(spec.d / eps) + math.log(spec.m)
+        h = (T - eps / (spec.d * spec.m)) / 16
+        assert len(rows) == 16
+        assert [float(r[1]) for r in rows] == [beta_value(spec.n_bits, T, k * h) for k in range(16)]
+        assert [float(r[2]) for r in rows] == pytest.approx([h] * 16, rel=1e-12)
+        assert all(float(r[3]) == 1.0 for r in rows)
+        assert sum(int(r[4]) for r in rows) == printed == 400 * 16 * spec.n_bits
+
     def test_gaussian_mixture_target(self, tmp_path):
         config = write_config(
             tmp_path / "gm.json",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.stats import chi2, chisquare, kstest, norm, poisson
 
 from conftest import random_initial
 from hyperbin import sampler
@@ -40,6 +41,20 @@ class FixedRateOracle(ScoreOracle):
     def ratio_all(self, t, states):
         states = np.atleast_2d(states)
         return np.tile(self.rates, (states.shape[0], 1))
+
+
+class RecordingOracle(FixedRateOracle):
+    """Zero rates, so no replica ever moves; records which states were
+    queried and at what times."""
+
+    def __init__(self, D, T):
+        super().__init__([0.0] * D, T)
+        self.indices, self.times = [], []
+
+    def ratio_all(self, t, states):
+        self.indices.append(state_to_index(states))
+        self.times.append(np.broadcast_to(t, len(states)).copy())
+        return super().ratio_all(t, states)
 
 
 def uniform_support_oracle(D, T):
@@ -241,6 +256,39 @@ class TestUniformizeSegment:
         law /= law.sum()
         assert tv_exact(counts / n, law) < 0.02
         assert stats.truncation_activations == 0
+
+
+class TestEventLaw:
+    """Per replica, the candidate events of a segment are Poisson(beta dt)
+    in number and uniform over the segment in time."""
+
+    ALPHA = 1e-6
+
+    def test_counts_poisson_and_times_uniform_per_replica(self, rng):
+        # two segments with beta * dt = 3.2 each but different caps; 4096
+        # distinct states, so the queried state names the replica
+        D, lam = 12, 3.2
+        times, betas = np.array([0.0, 0.25, 0.45]), np.array([12.8, 16.0])
+        part = TimePartition(times=times, betas=betas, T=1.0, delta=0.55, n_bits=D)
+        oracle = RecordingOracle(D, T=1.0)
+        states = all_states(D)
+        stats = _uniformize_chunk(oracle, part, states, rng)
+        assert np.array_equal(states, all_states(D)) and stats.accepted_moves == 0
+        index, t = np.concatenate(oracle.indices), np.concatenate(oracle.times)
+        assert ((t >= 0.0) & (t < 0.45)).all()
+        n = len(states)
+        for w, (t_lo, t_hi, _) in enumerate(part.segments()):
+            inside = (t >= t_lo) & (t < t_hi)
+            assert stats.events_per_segment[w] == inside.sum()
+            counts = np.bincount(index[inside], minlength=n)
+            mean = counts.mean()
+            assert abs(mean - lam) < norm.isf(self.ALPHA / 2) * math.sqrt(lam / n)
+            dispersion = ((counts - mean) ** 2).sum() / mean  # chi2(n - 1) under Poisson
+            assert 2 * min(chi2.cdf(dispersion, n - 1), chi2.sf(dispersion, n - 1)) > self.ALPHA
+            observed = np.bincount(np.minimum(counts, 8), minlength=9)
+            expected = n * np.append(poisson.pmf(np.arange(8), lam), poisson.sf(7, lam))
+            assert chisquare(observed, expected).pvalue > self.ALPHA
+            assert kstest((t[inside] - t_lo) / (t_hi - t_lo), "uniform").pvalue > self.ALPHA
 
 
 class TestSample:
