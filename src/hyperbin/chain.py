@@ -45,6 +45,15 @@ def sample_forward(
     return y0 ^ flips
 
 
+def _binary_rows(states) -> np.ndarray:
+    """States as a 2-D uint8 array, after checking that every raw value is
+    0 or 1 (a cast first would map 256 to 0 and 0.7 to 0)."""
+    states = np.atleast_2d(np.asarray(states))
+    if not ((states == 0) | (states == 1)).all():
+        raise ValueError("states must be 0/1 arrays")
+    return states.astype(np.uint8, copy=False)
+
+
 @dataclass(frozen=True)
 class EmpiricalInitial:
     """Weighted support of the time-0 distribution: states (n, D) with
@@ -54,12 +63,10 @@ class EmpiricalInitial:
     weights: np.ndarray
 
     def __post_init__(self):
-        states = np.atleast_2d(np.asarray(self.states, dtype=np.uint8))
+        states = _binary_rows(self.states)
         weights = np.asarray(self.weights, dtype=np.float64)
         if states.shape[0] != weights.shape[0]:
             raise ValueError("states and weights disagree on support size")
-        if not np.isin(states, (0, 1)).all():
-            raise ValueError("states must be 0/1 arrays")
         if (weights <= 0).any():
             raise ValueError("weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-9:
@@ -74,10 +81,24 @@ class EmpiricalInitial:
     @classmethod
     def from_dataset(cls, states: np.ndarray) -> "EmpiricalInitial":
         """Aggregate a quantized dataset (N, D) into unique states with
-        frequency weights."""
-        states = np.atleast_2d(np.asarray(states, dtype=np.uint8))
-        uniq, counts = np.unique(states, axis=0, return_counts=True)
-        return cls(states=uniq, weights=counts / counts.sum())
+        frequency weights.
+
+        The support comes out in lexicographic row order, bit 0 most
+        significant, which is the order of ``np.unique(axis=0)``. The
+        exact-terminal draws and the oracle's sums run over the support in
+        this order, so it fixes every sampled state. Rows are packed
+        big-endian into bytes, whose order is the rows' order, and sorted
+        once.
+        """
+        states = _binary_rows(states)
+        packed = np.packbits(states, axis=1)
+        order = np.lexsort(packed.T[::-1])
+        rows = packed[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        starts = np.flatnonzero(first)
+        counts = np.diff(starts, append=len(rows))
+        return cls(states=states[order[starts]], weights=counts / counts.sum())
 
     def to_dense(self) -> np.ndarray:
         """Explicit 2^D probability vector (D <= MAX_DENSE_BITS)."""

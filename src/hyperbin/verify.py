@@ -84,7 +84,8 @@ def _e(x: float) -> str:
 
 def random_initial(rng: np.random.Generator, D: int, support: int) -> EmpiricalInitial:
     """Random weighted empirical initial law with deduplicated support."""
-    states = np.unique(rng.integers(0, 2, size=(support, D), dtype=np.uint8), axis=0)
+    draws = rng.integers(0, 2, size=(support, D), dtype=np.uint8)
+    states = EmpiricalInitial.from_dataset(draws).states
     weights = rng.random(len(states)) + 0.1
     return EmpiricalInitial(states=states, weights=weights / weights.sum())
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import random_initial
@@ -192,6 +194,50 @@ class TestEmpiricalInitial:
             EmpiricalInitial(
                 states=np.zeros((2, 3), np.uint8), weights=np.array([1.5, -0.5])
             )
+
+    @pytest.mark.parametrize("entry", ["constructor", "from_dataset"])
+    @pytest.mark.parametrize("bad", [256, 0.7, -255])
+    def test_non_binary_values_rejected(self, entry, bad):
+        # each value casts to a 0/1 uint8 (256 -> 0, 0.7 -> 0, -255 -> 1),
+        # so the check must see the raw values
+        states = np.array([[0, 1, 1], [1, 0, bad]])
+        with pytest.raises(ValueError, match="0/1"):
+            if entry == "constructor":
+                EmpiricalInitial(states=states, weights=np.array([0.5, 0.5]))
+            else:
+                EmpiricalInitial.from_dataset(states)
+
+    @staticmethod
+    def check_against_np_unique(data):
+        initial = EmpiricalInitial.from_dataset(data)
+        states, counts = np.unique(data, axis=0, return_counts=True)
+        assert np.array_equal(initial.states, states)
+        assert initial.states.dtype == np.uint8
+        assert (initial.weights == counts / counts.sum()).all()
+        return initial
+
+    @given(
+        D=st.one_of(st.sampled_from([1, 8, 9, 63, 64, 65, 130]), st.integers(1, 130)),
+        n=st.integers(1, 500),
+        pool=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_from_dataset_matches_np_unique(self, D, n, pool, seed):
+        # rows drawn with replacement from a small pool of random rows and
+        # their one-bit variants, so duplicates and long shared prefixes occur
+        rng = np.random.default_rng(seed)
+        base = rng.integers(0, 2, size=(pool, D), dtype=np.uint8)
+        variants = base.copy()
+        variants[np.arange(pool), rng.integers(0, D, size=pool)] ^= 1
+        rows = np.concatenate([base, variants])
+        self.check_against_np_unique(rows[rng.integers(0, len(rows), size=n)])
+
+    @pytest.mark.parametrize("D", [1, 8, 9, 64, 65])
+    def test_from_dataset_single_row_and_identical_rows(self, rng, D):
+        row = rng.integers(0, 2, size=(1, D), dtype=np.uint8)
+        for data in (row, np.repeat(row, 50, axis=0)):
+            assert self.check_against_np_unique(data).weights.tolist() == [1.0]
 
     def test_round_trip_dense(self, rng):
         initial = random_initial(rng, 4, 8)
