@@ -113,8 +113,10 @@ def vbin_encode(spec: QuantizerSpec, index: np.ndarray) -> np.ndarray:
         raise ValueError(f"index has {idx.shape[-1]} coordinates, expected {spec.d}")
     if idx.min() < 0 or idx.max() >= spec.K:
         raise ValueError(f"grid index out of range [0, {spec.K})")
-    bits = (idx[..., :, None] >> np.arange(spec.m, dtype=np.int64)) & 1
-    return bits.reshape(*idx.shape[:-1], spec.d * spec.m).astype(np.uint8)
+    bits = np.empty((*idx.shape, spec.m), dtype=np.uint8)
+    for j in range(spec.m):
+        bits[..., j] = (idx >> j) & 1
+    return bits.reshape(*idx.shape[:-1], spec.n_bits)
 
 
 def vbin_decode(spec: QuantizerSpec, state: np.ndarray) -> np.ndarray:

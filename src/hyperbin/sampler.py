@@ -2,12 +2,14 @@
 
 The reverse chain runs over [0, T - delta] split into segments whose
 right-endpoint cap beta dominates the total reverse rate throughout the
-segment. Within a segment, candidate event times arrive as a Poisson
-process of rate beta; at each event the state flips bit i with
-probability rate_i / beta (rates rescaled to total at most beta), else
-stays put. Because beta upper-bounds the true total rate, the simulated
-law matches the reverse chain exactly; a fixed-step Euler discretization
-is included as a biased baseline.
+segment. On each segment, candidate event times arrive as a Poisson
+process of rate beta: every replica runs one unit-rate Poisson clock,
+mapped through the integrated cap Lambda(t) (a time change), so one
+batched pass serves replicas in any segment. At each event the state
+flips bit i with probability rate_i / beta (rates rescaled to total at
+most beta), else stays put. Because beta upper-bounds the true total
+rate, the simulated law matches the reverse chain exactly; a fixed-step
+Euler discretization is included as a biased baseline.
 """
 
 from __future__ import annotations
@@ -219,41 +221,43 @@ def _jump(
     states: np.ndarray,
     rows: np.ndarray,
     rates: np.ndarray,
-    beta: float,
+    beta: float | np.ndarray,
     h: float | None,
     rng: np.random.Generator,
     stats: RunStats,
 ) -> None:
     """One truncate-and-choose-flip step for replicas `rows` of `states`.
 
-    `rates` (overwritten) holds the oracle's per-flip rates for those rows.
-    Each row's total is capped at beta; row r then flips bit i with
-    probability rate_i / beta (uniformization, h=None) or h * rate_i,
-    rescaled to total at most 1 and counted in `clipped_steps` (Euler).
-    One uniform is drawn per row; each rate counts as one score evaluation.
+    `rates` (overwritten) holds the oracle's per-flip rates for those rows
+    and `beta` their cap, one for all rows (Euler) or one per row
+    (uniformization, whose rows sit in different segments). Each row's
+    total is capped at its beta; row r then flips bit i with probability
+    rate_i / beta (uniformization, h=None) or h * rate_i, rescaled to total
+    at most 1 and counted in `clipped_steps` (Euler). The work is done on
+    the running sums of the rates, whose last column is the row total. One
+    uniform is drawn per row; each rate counts as one score evaluation.
     """
-    total = rates.sum(axis=1)
+    cum = np.cumsum(rates, axis=1, out=rates)
+    total = cum[:, -1]  # a view, so it follows every rescaling of cum
     over = total > beta
     if over.any():
-        rates[over] *= (beta / total[over])[:, None]
+        cap = np.broadcast_to(beta, total.shape)[over]
+        cum[over] *= (cap / total[over])[:, None]
         stats.truncation_activations += int(over.sum())
-    if h is None:
-        cum = np.cumsum(rates, axis=1)
-        cum /= beta
-    else:
-        rates *= h
-        ptot = rates.sum(axis=1)
-        clipped = ptot > 1.0
-        if clipped.any():
-            rates[clipped] /= ptot[clipped][:, None]
-            stats.clipped_steps += int(clipped.sum())
-        cum = np.cumsum(rates, axis=1)
     u = rng.random(len(rows))
-    moved = u < cum[:, -1]
+    if h is None:
+        u *= beta  # flip when u / beta falls below the capped total
+    else:
+        cum *= h
+        clipped = total > 1.0
+        if clipped.any():
+            cum[clipped] /= total[clipped][:, None]
+            stats.clipped_steps += int(clipped.sum())
+    moved = u < total
     flips = np.argmax(u[:, None] < cum, axis=1)
     states[rows[moved], flips[moved]] ^= 1
     stats.accepted_moves += int(moved.sum())
-    stats.score_evals += rates.size
+    stats.score_evals += cum.size
 
 
 def _uniformize_chunk(
@@ -262,22 +266,33 @@ def _uniformize_chunk(
     states: np.ndarray,
     rng: np.random.Generator,
 ) -> RunStats:
-    """Advance a chunk of replicas through all segments in place.
+    """Advance a chunk of replicas over the whole partition in place.
 
-    On segment [t_lo, t_hi) with cap beta, each replica's candidate events
-    come at Exp(beta) gaps from t_lo, a Poisson process of rate beta. Each
-    pass queries every replica whose next event still falls before t_hi.
+    Each replica runs one unit-rate Poisson clock: `e` is its running sum
+    of Exp(1) gaps. The integrated cap Lambda(t), the integral of beta
+    from 0 to t, maps the clock's arrivals to event times; with beta_w
+    constant on segment w, the arrivals in [Lambda(t_w), Lambda(t_{w+1}))
+    map to a Poisson process of rate beta_w on [t_w, t_{w+1}). Each pass
+    queries every replica whose clock is still below Lambda(T - delta),
+    each at its own time and under its own segment's cap, so the number
+    of passes is the largest event count of any replica over the run.
     """
+    times, betas = partition.times, partition.betas
+    ends = np.concatenate(([0.0], np.cumsum(betas * np.diff(times))))  # Lambda(t_w)
     stats = RunStats(events_per_segment=np.zeros(partition.n_segments, dtype=np.int64))
-    for w, (t_lo, t_hi, beta) in enumerate(partition.segments()):
-        t = t_lo + rng.exponential(1.0 / beta, len(states))
-        active = np.flatnonzero(t < t_hi)
-        while len(active):
-            rates = oracle.ratio_all(t[active], states[active])
-            _jump(states, active, rates, beta, None, rng, stats)
-            stats.events_per_segment[w] += len(active)
-            t[active] += rng.exponential(1.0 / beta, len(active))
-            active = active[t[active] < t_hi]
+    e = rng.standard_exponential(len(states))
+    active = np.flatnonzero(e < ends[-1])
+    while len(active):
+        clock = e[active]
+        seg = np.searchsorted(ends, clock, "right") - 1
+        # Rounding may carry a time past its segment's end; clamping keeps
+        # every query at or below T - delta.
+        t = np.minimum(times[seg] + (clock - ends[seg]) / betas[seg], times[seg + 1])
+        rates = oracle.ratio_all(t, states[active])
+        _jump(states, active, rates, betas[seg], None, rng, stats)
+        stats.events_per_segment += np.bincount(seg, minlength=partition.n_segments)
+        e[active] += rng.standard_exponential(len(active))
+        active = active[e[active] < ends[-1]]
     stats.poisson_events = int(stats.events_per_segment.sum())
     return stats
 
@@ -345,8 +360,8 @@ def _run_chunks(config, oracle, n_samples, runner, rng_tag):
 def sample(config: SamplerConfig, oracle: ScoreOracle, n_samples: int) -> SampleResult:
     """Run the uniformization sampler for n_samples replicas.
 
-    Every replica starts from the configured initial law, traverses the
-    partition segment by segment, and is decoded to a continuous point by
+    Every replica starts from the configured initial law, runs its events
+    over the whole partition, and is decoded to a continuous point by
     inverting the binary encoding and drawing uniformly inside the cell.
     Replicas advance in chunks of DEFAULT_CHUNK, one RNG stream per chunk;
     chunks run on the available CPUs. The output is deterministic given

@@ -117,6 +117,12 @@ class ExactScoreOracle(ScoreOracle):
         P = len(initial.weights)
         if (1 << D) * (D + 1) <= _CHUNK_ELEMENTS and P * P >= 1 << D:
             self._shells = shell_table(initial)
+            # Query-independent parts of a lookup: the flip masks, and per
+            # state the exponents k - k0 (clamped at -1) of its shells, with
+            # k0 its lowest nonzero shell (see _table_chunk).
+            self._bit_values = 1 << np.arange(D)
+            k0 = np.argmax(self._shells > 0, axis=1)
+            self._exponents = np.maximum(np.arange(D + 1) - k0[:, None], -1).astype(np.int8)
         else:
             self._shells = None
             self._ones = initial.states.astype(np.float64)
@@ -159,13 +165,11 @@ class ExactScoreOracle(ScoreOracle):
         # with k0 the lowest nonzero shell of y, keeps every power in
         # [rho^-1, 1]: a neighbour's nonzero shells start at k0 - 1 or
         # later, so exponents below -1 only ever multiply zeros.
-        D = self.n_bits
-        y = state_to_index(states)
+        y = states @ self._bit_values
         own = self._shells[y]  # (B, D+1)
-        k0 = np.argmax(own > 0, axis=1)
-        powers = rho[:, None] ** np.maximum(np.arange(D + 1) - k0[:, None], -1)
+        powers = rho[:, None] ** self._exponents[y]
         den = np.einsum("bk,bk->b", own, powers)
-        neighbours = np.take(self._shells, y[:, None] ^ (1 << np.arange(D)), axis=0)
+        neighbours = np.take(self._shells, y[:, None] ^ self._bit_values, axis=0)
         num = np.einsum("bik,bk->bi", neighbours, powers)
         return num / den[:, None]
 
@@ -213,6 +217,11 @@ class PerturbedScoreOracle(ScoreOracle):
         self.n_bits = inner.n_bits
         self.noise_scale = float(noise_scale)
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        # The hashes of the seed, of every time bucket and of every flip
+        # position do not depend on the query.
+        self._seed_mix = splitmix64(np.array([self.seed], dtype=np.uint64))
+        self._bucket_mix = splitmix64(np.arange(TIME_BUCKETS, dtype=np.uint64))
+        self._flip_mix = splitmix64(np.arange(self.n_bits, dtype=np.uint64) + np.uint64(0x5BF0))
 
     @property
     def initial(self) -> EmpiricalInitial:
@@ -220,13 +229,10 @@ class PerturbedScoreOracle(ScoreOracle):
 
     def log_noise(self, t, states) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=np.uint8))
-        B, D = states.shape
-        t = np.broadcast_to(np.asarray(t, dtype=np.float64), (B,))
+        t = np.asarray(t, dtype=np.float64)
         bucket = np.clip((t / self.T * TIME_BUCKETS).astype(np.int64), 0, TIME_BUCKETS - 1)
-        key = state_key(states) ^ splitmix64(bucket.astype(np.uint64))
-        key = splitmix64(key ^ splitmix64(np.full(B, self.seed, dtype=np.uint64)))
-        flip_mix = splitmix64(np.arange(D, dtype=np.uint64) + np.uint64(0x5BF0))
-        word = splitmix64(key[:, None] ^ flip_mix[None, :])
+        key = splitmix64(state_key(states) ^ self._bucket_mix[bucket] ^ self._seed_mix)
+        word = splitmix64(key[:, None] ^ self._flip_mix)
         unit = word.astype(np.float64) / float(1 << 64)  # [0, 1)
         return (2.0 * unit - 1.0) * self.noise_scale
 

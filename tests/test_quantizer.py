@@ -131,6 +131,20 @@ class TestVbin:
         with pytest.raises(ValueError):
             vbin_encode(spec, np.array([4]))
 
+    @pytest.mark.parametrize("d", range(1, 5))
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_matches_shift_and_mask_formula(self, m, d):
+        # the (N, d, m) int64 formula that the per-bit writes replaced
+        spec = QuantizerSpec.from_grid(d=d, L=1.0, K=1 << m)
+        rng = np.random.default_rng(m * 10 + d)
+        idx = rng.integers(0, spec.K, size=(3, 5, d))
+        idx[0, 0] = spec.K - 1
+        expected = (idx[..., :, None] >> np.arange(m, dtype=np.int64)) & 1
+        expected = expected.reshape(3, 5, d * m).astype(np.uint8)
+        got = vbin_encode(spec, idx)
+        assert got.dtype == np.uint8 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 9999))
     @settings(max_examples=50, deadline=None)
     def test_round_trip_property(self, d, m, seed):

@@ -180,6 +180,19 @@ class TestTruncatedRates:
         assert stats.clipped_steps == 0
         assert_independent_flip_law(states, [6.0, 4.0], dt)
 
+    def test_caps_apply_per_row(self, rng):
+        # total 14 sits above segment 0's cap 12 and below segment 1's cap 16,
+        # and one pass mixes rows from both segments: exactly the segment-0
+        # events truncate
+        part = TimePartition(
+            times=np.array([0.0, 0.25, 0.45]), betas=np.array([12.0, 16.0]),
+            T=1.0, delta=0.55, n_bits=2,
+        )
+        states = np.zeros((4000, 2), dtype=np.uint8)
+        stats = _uniformize_chunk(FixedRateOracle([8.0, 6.0], T=1.0), part, states, rng)
+        assert (stats.events_per_segment > 0).all()
+        assert stats.truncation_activations == stats.events_per_segment[0]
+
     def test_exact_oracle_never_truncates(self, rng):
         # dense check: the exact total rate stays below the tight bound,
         # which stays below the standard cap
@@ -225,6 +238,19 @@ class TestUniformizeSegment:
         sigma = math.sqrt(p * (1 - p) / stats.poisson_events)
         assert abs(freq - p) < 4 * sigma
         assert stats.poisson_events >= 50_000
+
+    def test_queries_stay_below_a_tiny_stop_gap(self, rng):
+        # delta is 4 ulps of T, so the last segments are a few ulps wide and
+        # their caps near 1e16; rounding must not carry a query past T - delta
+        D, T = 2, 1.0
+        delta = 4 * math.ulp(T)
+        part = build_partition(D, T, delta)
+        oracle = RecordingOracle(D, T)
+        stats = _uniformize_chunk(oracle, part, np.zeros((400, D), dtype=np.uint8), rng)
+        t = np.concatenate(oracle.times)
+        assert len(t) == stats.poisson_events > 0
+        assert stats.events_per_segment[-1] > 0
+        assert ((t >= 0.0) & (t <= T - delta)).all()
 
     def test_segment_law_matches_ode(self, rng):
         # independent oracle: integrate the truncated reverse dynamics and

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -314,6 +315,30 @@ class TestPerturbedOracle:
         other = oracle.log_noise(1.0 + 1.4 * width, states)
         assert np.array_equal(noise, same)
         assert not np.array_equal(noise, other)
+
+    # SHA-256 of the little-endian float64 noise below; c06's calibration
+    # and runs depend on these exact bits.
+    NOISE_SHA256 = {
+        6: "dc3948e0459c1e62db1cfef943b153f2782bd903bdd66aa606729890ea04242f",
+        70: "a8ed5b8fe28593efcf8bbf4a39250fa36d61292e8d8d3b24e650dd9b42d3de69",
+    }
+
+    @pytest.mark.parametrize("D", [6, 70])
+    def test_noise_bits_are_pinned(self, D):
+        # D = 70 makes state_key fold a second 64-bit word
+        if D == 6:
+            states = all_states(6)
+        else:
+            rows = np.arange(64)[:, None] * 7 + np.arange(D) * 3
+            states = (rows % 5 < 2).astype(np.uint8)
+        t = np.resize([0.0, 0.3, 0.77, 1.2, 1.999], len(states))  # five time buckets
+        exact = ExactScoreOracle(random_initial(np.random.default_rng(D), D, 10), 2.0)
+        oracle = PerturbedScoreOracle(exact, 0.5, seed=0x9E37)
+        noise = oracle.log_noise(t, states)
+        digest = hashlib.sha256(noise.astype("<f8").tobytes()).hexdigest()
+        assert digest == self.NOISE_SHA256[D]
+        expected = exact.ratio_all(t, states) * np.exp(noise)
+        assert np.array_equal(oracle.ratio_all(t, states), expected)
 
     def test_loss_increases_with_scale(self, rng):
         initial = random_initial(rng, 4, 5)
