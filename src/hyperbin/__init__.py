@@ -11,8 +11,6 @@ from .quantizer import (
     cell_bounds,
     dequantize_sample,
     quantize_dataset,
-    save_spec,
-    load_spec,
 )
 from .chain import (
     EmpiricalInitial,

@@ -24,7 +24,7 @@ MIXING_TV = 0.01
 MIXING_TOL = 1e-4
 
 
-def _n_states(kind: str, size: int) -> int:
+def n_states(kind: str, size: int) -> int:
     """`size` is the state count for path/complete graphs and the bit
     count for the hypercube."""
     if kind not in KINDS:
@@ -38,7 +38,7 @@ def _n_states(kind: str, size: int) -> int:
 
 
 def build_rate_matrix(kind: str, size: int) -> np.ndarray:
-    n = _n_states(kind, size)
+    n = n_states(kind, size)
     if kind == "hypercube":
         return dense_rate_matrix(size)
     if kind == "tridiagonal":
@@ -97,20 +97,3 @@ def mixing_time(kind: str, size: int) -> float:
         else:
             hi = mid
     return hi
-
-
-def write_heat_kernel_csv(
-    path, kind: str, size: int, times, header_lines: list[str] | None = None
-) -> None:
-    """Rows (t, row, col, prob) for each requested time, in the csv
-    module's default dialect (comma-separated, CRLF row endings)."""
-    n = _n_states(kind, size)
-    cells = [f"{i},{j}," for i in range(n) for j in range(n)]
-    with open(path, "w", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        fh.write("t,row,col,prob\r\n")
-        for t in times:
-            probs = heat_kernel(kind, size, float(t)).ravel().tolist()
-            head = f"{float(t)!r},"
-            fh.write("".join([f"{head}{cell}{p!r}\r\n" for cell, p in zip(cells, probs)]))

@@ -56,7 +56,7 @@ def hamming_to_rows(states: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def splitmix64(x: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer; a cheap vectorized PRF used for reproducible
     perturbation noise. Operates on uint64 arrays with wraparound."""
-    z = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z = x.astype(np.uint64, copy=False) + np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
@@ -65,15 +65,18 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
 def state_key(states: np.ndarray) -> np.ndarray:
     """Fold a (B, D) bit array into one uint64 key per row.
 
-    Keys are mixed word-by-word through :func:`splitmix64`, so they are
-    stable across runs and platforms and defined for any D.
+    Word w of a row packs bits 64w..64w+63 little-endian (bit i of the
+    word is state[64w + i], zero past D); each word and its offset 64w are
+    mixed into the key through :func:`splitmix64`, so keys are stable
+    across runs and platforms and defined for any D.
     """
-    bits = np.atleast_2d(np.asarray(states, dtype=np.uint64))
+    bits = np.atleast_2d(np.asarray(states, dtype=np.uint8))
     B, D = bits.shape
+    n_words = -(-D // 64)
+    padded = np.zeros((B, 64 * n_words), dtype=np.uint8)
+    padded[:, :D] = bits
+    words = np.packbits(padded, bitorder="little").view("<u8").reshape(B, n_words)
     key = np.zeros(B, dtype=np.uint64)
-    for lo in range(0, D, 64):
-        word = bits[:, lo : lo + 64]
-        weights = np.uint64(1) << np.arange(word.shape[1], dtype=np.uint64)
-        packed = (word * weights).sum(axis=1, dtype=np.uint64)
-        key = splitmix64(key ^ packed ^ np.uint64(lo))
+    for w in range(n_words):
+        key = splitmix64(key ^ words[:, w] ^ np.uint64(64 * w))
     return key

@@ -1,18 +1,24 @@
-"""Batch command-line front end.
+"""Command-line front end, and the one module that reads and writes files.
 
 Subcommands: `quantize` (CSV points -> binary states + grid spec),
-`sample` (build an exact oracle from quantized data and draw samples),
-`verify` (one acceptance criterion of the `verify` check catalogue, run
-at quick scale), `adjacency-report` (structure table plus heat-kernel
-CSVs). All outputs are deterministic given the config and seed, and every
-output file starts with a `# config_hash=...` header line that hashes
-the config together with the seed in use. Exit codes: 0 success, 2
-config error, 3 verification failure, 4 IO error.
+`sample` (exact oracle from quantized data, then samples), `verify` (one
+criterion of the `verify` check catalogue at quick scale),
+`adjacency-report` (structure table plus heat-kernel CSVs). Outputs are
+deterministic given the config and seed. Exit codes: 0 success, 2 config
+error, 3 verification failure, 4 IO error.
+
+Every file format is defined here. Each CSV output opens with one
+`# config_hash=<16 hex>` line, the hash of the config with the seed in
+use, written by `_open_output`; then come a header row and rows in the csv
+module's dialect (CRLF endings; `adjacency_report.csv` uses LF). Floats
+are written with `repr`. `spec.json` carries the same hash.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import hashlib
 import json
 import math
@@ -22,24 +28,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .adjacency import KINDS, graph_report, write_heat_kernel_csv
+from .adjacency import KINDS, MAX_STATES, graph_report, heat_kernel, n_states
 from .chain import EmpiricalInitial
-from .metrics import write_metrics_csv
-from .quantizer import (
-    QuantizerSpec,
-    derive_spec,
-    quantize_dataset,
-    read_points_csv,
-    save_spec,
-    write_states_csv,
-)
+from .quantizer import QuantizerSpec, derive_spec, quantize_dataset
 from .sampler import (
+    RunStats,
+    SampleResult,
     SamplerConfig,
+    TimePartition,
     euler_sample,
     euler_steps,
     sample,
-    write_samples_csv,
-    write_stats_csv,
 )
 from .scores import ExactScoreOracle
 
@@ -142,6 +141,134 @@ def _out_dir(args) -> Path:
     return path
 
 
+@contextlib.contextmanager
+def _open_output(path, config_hash: str):
+    """Open `path` for writing (no newline translation) with its
+    `# config_hash=...` provenance line already written."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# config_hash={config_hash}\n")
+        yield fh
+
+
+def save_spec(spec: QuantizerSpec, path, config_hash: str) -> None:
+    """Write the spec as a flat JSON object: keys d, sigma, H, m0, eps, L,
+    l, K and the provenance hash."""
+    payload = {k: getattr(spec, k) for k in ("d", "sigma", "H", "m0", "eps", "L", "l", "K")}
+    payload["config_hash"] = config_hash
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def load_spec(path) -> QuantizerSpec:
+    payload = json.loads(Path(path).read_text())
+    extras = {
+        k: (float(payload[k]) if payload.get(k) is not None else None)
+        for k in ("sigma", "H", "m0", "eps")
+    }
+    return QuantizerSpec(d=int(payload["d"]), L=float(payload["L"]), K=int(payload["K"]), **extras)
+
+
+def read_points_csv(path) -> np.ndarray:
+    """Read an (N, d) point set: one row per point, float columns. Empty
+    and `#` comment lines are skipped; the first other row may be a header.
+    Malformed rows, non-finite values (nan, inf) and rows of the wrong
+    width are reported with their line number."""
+    rows = []
+    header_seen = False
+    with open(path, newline="") as fh:
+        for line_no, row in enumerate(csv.reader(fh), start=1):
+            if not row or row[0].startswith("#"):
+                continue
+            try:
+                values = [float(v) for v in row]
+            except ValueError as exc:
+                if not (rows or header_seen):
+                    header_seen = True
+                    continue
+                raise ValueError(f"{path}: row {line_no}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: row {line_no}: non-finite value")
+            if rows and len(values) != len(rows[0]):
+                raise ValueError(f"{path}: row {line_no}: expected {len(rows[0])} columns")
+            rows.append(values)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def write_states_csv(path, states: np.ndarray, config_hash: str) -> None:
+    """Write an (N, D) binary state array: header b0..b{D-1}, one row per
+    state, 0/1 columns."""
+    states = np.atleast_2d(np.asarray(states, dtype=np.uint8))
+    with _open_output(path, config_hash) as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"b{i}" for i in range(states.shape[1])])
+        writer.writerows(states.tolist())
+
+
+def read_states_csv(path) -> np.ndarray:
+    rows = []
+    with open(path, newline="") as fh:
+        for row in csv.reader(fh):
+            if not row or row[0].startswith("#") or row[0].startswith("b"):
+                continue
+            rows.append([int(v) for v in row])
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    states = np.asarray(rows, dtype=np.uint8)
+    if not np.isin(states, (0, 1)).all():
+        raise ValueError(f"{path}: entries must be 0/1")
+    return states
+
+
+def write_samples_csv(path, result: SampleResult, config_hash: str) -> None:
+    """Sample table: (replica, state_index, bitstring, x_0..x_{d-1}).
+
+    `state_index` is the exact little-endian integer of the bits, so any D
+    works (it exceeds int64 above D = 63)."""
+    d = result.x.shape[1]
+    digits = np.asarray(result.states, dtype=np.uint8) + ord("0")
+    bitstrings = digits.view(f"S{digits.shape[1]}").ravel()
+    with _open_output(path, config_hash) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["replica", "state_index", "bitstring"] + [f"x_{j}" for j in range(d)])
+        writer.writerows(
+            [r, int(bits[::-1], 2), bits.decode(), *map(repr, x)]
+            for r, (bits, x) in enumerate(zip(bitstrings, result.x.tolist()))
+        )
+
+
+def write_stats_csv(
+    path, partition: TimePartition, stats: RunStats, n_samples: int, config_hash: str
+) -> None:
+    """Per-segment summary: (segment, beta, dt, events_mean, score_evals).
+    Euler stats, without `events_per_segment`, count one query per replica."""
+    seg_events = stats.events_per_segment
+    if seg_events is None:
+        seg_events = np.full(partition.n_segments, n_samples, dtype=np.int64)
+    means = seg_events / n_samples if n_samples else np.zeros(partition.n_segments)
+    rows = zip(partition.betas, np.diff(partition.times), means, seg_events)
+    with _open_output(path, config_hash) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["segment", "beta", "dt", "events_mean", "score_evals"])
+        writer.writerows(
+            [w, repr(float(beta)), repr(float(dt)), repr(float(mean)), int(n) * partition.n_bits]
+            for w, (beta, dt, mean, n) in enumerate(rows)
+        )
+
+
+def write_heat_kernel_csv(path, kind: str, size: int, times, config_hash: str) -> None:
+    """Rows (t, row, col, prob) for each requested time; `size` is as in
+    :func:`hyperbin.adjacency.build_rate_matrix`."""
+    n = n_states(kind, size)
+    cells = [f"{i},{j}," for i in range(n) for j in range(n)]
+    with _open_output(path, config_hash) as fh:
+        fh.write("t,row,col,prob\r\n")
+        for t in times:
+            probs = heat_kernel(kind, size, float(t)).ravel().tolist()
+            head = f"{float(t)!r},"
+            fh.write("".join([f"{head}{cell}{p!r}\r\n" for cell, p in zip(cells, probs)]))
+
+
 def cmd_quantize(args) -> int:
     config = load_config(args.config)
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
@@ -152,8 +279,8 @@ def cmd_quantize(args) -> int:
         raise ConfigError(f"target has d={points.shape[1]} but quantizer has d={spec.d}")
     states = quantize_dataset(spec, points)
     out = _out_dir(args)
-    write_states_csv(out / "states.csv", states, header_lines=[f"config_hash={chash}"])
-    save_spec(spec, out / "spec.json", config_hash=chash)
+    write_states_csv(out / "states.csv", states, chash)
+    save_spec(spec, out / "spec.json", chash)
     print(f"quantized {len(states)} points to {out / 'states.csv'} (D={spec.n_bits})")
     return 0
 
@@ -182,10 +309,9 @@ def cmd_sample(args) -> int:
         result = sample(run_config, oracle, n_samples)
         partition = run_config.partition()
     out = _out_dir(args)
-    header = [f"config_hash={chash}"]
-    write_samples_csv(out / "samples.csv", result, header_lines=header)
-    write_stats_csv(out / "stats.csv", partition, result.stats, n_samples, header_lines=header)
-    save_spec(spec, out / "spec.json", config_hash=chash)
+    write_samples_csv(out / "samples.csv", result, chash)
+    write_stats_csv(out / "stats.csv", partition, result.stats, n_samples, chash)
+    save_spec(spec, out / "spec.json", chash)
     print(
         f"wrote {n_samples} samples to {out / 'samples.csv'} "
         f"(events={result.stats.poisson_events}, score_evals={result.stats.score_evals})"
@@ -210,45 +336,30 @@ def cmd_verify(args) -> int:
     if args.out or os.environ.get("HYPERBIN_OUT"):  # the table is written only on request
         out = _out_dir(args)
         chash = config_hash({"suite": args.suite, "seed": seed})
-        write_metrics_csv(
-            out / f"verify_{args.suite}.csv",
-            [
-                {
-                    "metric": r.name,
-                    "value": r.value,
-                    "n": r.n,
-                    "seed": seed,
-                    "config_hash": chash,
-                }
-                for r in rows
-            ],
-            header_lines=[f"config_hash={chash}"],
-        )
+        with _open_output(out / f"verify_{args.suite}.csv", chash) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["metric", "value", "n", "seed", "config_hash"])
+            writer.writerows([r.name, repr(float(r.value)), r.n, seed, chash] for r in rows)
     print(f"{args.suite}: {len(rows) - len(failed)}/{len(rows)} checks passed")
     return 3 if failed else 0
 
 
 def cmd_adjacency_report(args) -> int:
     n = args.size
-    if n < 2 or n & (n - 1):
-        print("--size must be a power of two >= 2 (shared across structures)", file=sys.stderr)
+    if n < 2 or n & (n - 1) or n > MAX_STATES:
+        print(f"--size must be a power of two in [2, {MAX_STATES}]", file=sys.stderr)
         return 2
     out = _out_dir(args)
     chash = config_hash({"size": n})
     times = [0.01, 0.1, 0.5, 2.0]
-    lines = [f"config_hash={chash}"]
     report_path = out / "adjacency_report.csv"
-    with open(report_path, "w", newline="") as fh:
-        for line in lines:
-            fh.write(f"# {line}\n")
+    with _open_output(report_path, chash) as fh:
         fh.write("kind,states,diameter,max_out_degree\n")
         for kind in KINDS:
             size = int(math.log2(n)) if kind == "hypercube" else n
             diameter, degree = graph_report(kind, size)
             fh.write(f"{kind},{n},{diameter},{degree}\n")
-            write_heat_kernel_csv(
-                out / f"heat_{kind}_{n}.csv", kind, size, times, header_lines=lines
-            )
+            write_heat_kernel_csv(out / f"heat_{kind}_{n}.csv", kind, size, times, chash)
     print(f"wrote {report_path} and heat-kernel tables for {KINDS}")
     return 0
 

@@ -3,7 +3,6 @@ continuous-histogram distance against an analytic density."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,22 +125,3 @@ def tv_continuous_histogram(samples: np.ndarray, density, spec: QuantizerSpec) -
     counts = np.bincount(flat, minlength=spec.K**spec.d).astype(np.float64)
     emp = counts / counts.sum()
     return 0.5 * (float(np.abs(emp - cell_mass).sum()) + max(tail, 0.0))
-
-
-def write_metrics_csv(path, rows: list[dict], header_lines: list[str] | None = None) -> None:
-    """Rows of (metric, value, n, seed, config_hash)."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value", "n", "seed", "config_hash"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["metric"],
-                    repr(float(row["value"])),
-                    row.get("n", ""),
-                    row.get("seed", ""),
-                    row.get("config_hash", ""),
-                ]
-            )

@@ -5,16 +5,15 @@ l = 2L/K per axis (K a power of two), maps each cell index to a binary
 state of D = d*log2(K) bits, and can re-draw continuous points uniformly
 inside a cell. Parameters may be derived from tail/smoothness constants
 (sub-Gaussian sigma, Hessian bound H, second moment m0, TV budget eps)
-or supplied directly when those constants are unknown.
+or supplied directly when those constants are unknown. The module works
+on arrays only; point, state and spec files are read and written by
+:mod:`hyperbin.cli`.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -153,89 +152,3 @@ def quantize_dataset(spec: QuantizerSpec, points: np.ndarray) -> np.ndarray:
     if pts.size == 0:
         raise ValueError("dataset is empty")
     return vbin_encode(spec, quantize_point(spec, pts))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def save_spec(spec: QuantizerSpec, path, config_hash: str | None = None) -> None:
-    """Write the spec as a flat JSON object (keys d, sigma, H, m0, eps, L, l, K,
-    plus an optional provenance hash)."""
-    payload = {k: getattr(spec, k) for k in ("d", "sigma", "H", "m0", "eps", "L", "l", "K")}
-    if config_hash is not None:
-        payload["config_hash"] = config_hash
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def load_spec(path) -> QuantizerSpec:
-    payload = json.loads(Path(path).read_text())
-    extras = {
-        k: (float(payload[k]) if payload.get(k) is not None else None)
-        for k in ("sigma", "H", "m0", "eps")
-    }
-    return QuantizerSpec(d=int(payload["d"]), L=float(payload["L"]), K=int(payload["K"]), **extras)
-
-
-def read_points_csv(path) -> np.ndarray:
-    """Read an (N, d) point set: one row per point, float columns. Empty
-    and `#` comment lines are skipped; the first other row may be a header.
-    Malformed rows, non-finite values (nan, inf) and rows of the wrong
-    width are reported with their line number."""
-    rows = []
-    header_allowed = True
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if header_allowed:
-                header_allowed = False
-                if _is_header(row):
-                    continue
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {line_no}: {exc}") from None
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{path}: row {line_no}: non-finite value")
-            if rows and len(values) != len(rows[0]):
-                raise ValueError(f"{path}: row {line_no}: expected {len(rows[0])} columns")
-            rows.append(values)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
-
-
-def _is_header(row) -> bool:
-    try:
-        [float(v) for v in row]
-        return False
-    except ValueError:
-        return True
-
-
-def write_states_csv(path, states: np.ndarray, header_lines: list[str] | None = None) -> None:
-    """Write an (N, D) binary state array: one row per state, 0/1 columns."""
-    states = np.atleast_2d(np.asarray(states, dtype=np.uint8))
-    with open(path, "w", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"b{i}" for i in range(states.shape[1])])
-        writer.writerows(states.tolist())
-
-
-def read_states_csv(path) -> np.ndarray:
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#") or row[0].startswith("b"):
-                continue
-            rows.append([int(v) for v in row])
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    states = np.asarray(rows, dtype=np.uint8)
-    if not np.isin(states, (0, 1)).all():
-        raise ValueError(f"{path}: entries must be 0/1")
-    return states

@@ -14,7 +14,6 @@ Euler discretization is included as a biased baseline.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -394,55 +393,3 @@ def exact_reverse_marginal(initial: EmpiricalInitial, T: float, t: float) -> np.
     if not 0 <= t <= T:
         raise ValueError("need 0 <= t <= T")
     return marginal_at(initial, T - t)
-
-
-def write_stats_csv(
-    path,
-    partition: TimePartition,
-    stats: RunStats,
-    n_samples: int,
-    header_lines: list[str] | None = None,
-) -> None:
-    """Per-segment summary: (segment, beta, dt, events_mean, score_evals).
-    Euler stats, without `events_per_segment`, count one query per replica."""
-    seg_events = (
-        stats.events_per_segment
-        if stats.events_per_segment is not None
-        else np.full(partition.n_segments, n_samples, dtype=np.int64)
-    )
-    with open(path, "w", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["segment", "beta", "dt", "events_mean", "score_evals"])
-        dts = np.diff(partition.times)
-        for w in range(partition.n_segments):
-            mean = seg_events[w] / n_samples if n_samples else 0.0
-            writer.writerow(
-                [
-                    w,
-                    repr(float(partition.betas[w])),
-                    repr(float(dts[w])),
-                    repr(float(mean)),
-                    int(seg_events[w]) * partition.n_bits,
-                ]
-            )
-
-
-def write_samples_csv(path, result: SampleResult, header_lines: list[str] | None = None) -> None:
-    """Sample table: (replica, state_index, bitstring, x_0..x_{d-1}).
-
-    `state_index` is the exact little-endian integer of the bits, so any D
-    works (it exceeds int64 above D = 63)."""
-    n, d = result.x.shape
-    digits = np.asarray(result.states, dtype=np.uint8) + ord("0")
-    bitstrings = digits.view(f"S{digits.shape[1]}").ravel()
-    with open(path, "w", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["replica", "state_index", "bitstring"] + [f"x_{j}" for j in range(d)])
-        writer.writerows(
-            [r, int(bits[::-1], 2), bits.decode(), *map(repr, x)]
-            for r, (bits, x) in enumerate(zip(bitstrings, result.x.tolist()))
-        )

@@ -10,9 +10,9 @@ from hyperbin.adjacency import (
     graph_report,
     heat_kernel,
     mixing_time,
-    write_heat_kernel_csv,
 )
 from hyperbin.chain import dense_rate_matrix, flip_probability
+from hyperbin.cli import write_heat_kernel_csv
 
 
 class TestBuildRateMatrix:
@@ -104,7 +104,7 @@ class TestMixing:
 class TestHeatKernelCSV:
     def test_export(self, tmp_path):
         path = tmp_path / "heat.csv"
-        write_heat_kernel_csv(path, "hypercube", 2, [0.0, 0.3], header_lines=["config_hash=h"])
+        write_heat_kernel_csv(path, "hypercube", 2, [0.0, 0.3], "h")
         lines = path.read_text().splitlines()
         assert lines[0] == "# config_hash=h"
         assert lines[1] == "t,row,col,prob"
@@ -128,5 +128,5 @@ class TestHeatKernelCSV:
                         for j in range(n):
                             writer.writerow([repr(float(t)), i, j, repr(float(kernel[i, j]))])
             got = tmp_path / f"got_{kind}.csv"
-            write_heat_kernel_csv(got, kind, size, times, header_lines=["config_hash=h"])
+            write_heat_kernel_csv(got, kind, size, times, "h")
             assert got.read_bytes() == expected.read_bytes()

@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 
 from hyperbin import verify as verify_suites
-from hyperbin.cli import main
-from hyperbin.quantizer import load_spec, read_states_csv
-from hyperbin.sampler import TimePartition, beta_value, build_partition
+from hyperbin.adjacency import MAX_STATES
+from hyperbin.cli import (
+    load_spec,
+    main,
+    read_points_csv,
+    read_states_csv,
+    write_samples_csv,
+    write_stats_csv,
+)
+from hyperbin.sampler import RunStats, SampleResult, TimePartition, beta_value, build_partition
 
 
 def write_config(path, config):
@@ -99,7 +106,7 @@ class TestQuantizeCommand:
         main(["quantize", "--config", quantize_config, "--out", str(out)])
         spec = load_spec(out / "spec.json")
         states = read_states_csv(out / "states.csv")
-        from hyperbin.quantizer import cell_bounds, read_points_csv, vbin_decode
+        from hyperbin.quantizer import cell_bounds, vbin_decode
 
         idx = vbin_decode(spec, states)
         lower, upper = cell_bounds(spec, idx)
@@ -312,3 +319,84 @@ class TestAdjacencyCommand:
 
     def test_rejects_non_power_of_two(self, tmp_path):
         assert main(["adjacency-report", "--size", "6", "--out", str(tmp_path)]) == 2
+
+    def test_rejects_size_above_dense_cap_before_writing(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["adjacency-report", "--size", str(2 * MAX_STATES), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+class TestFileFormats:
+    # (arguments, files written) for every command that writes files
+    SAMPLE_FILES = ["samples.csv", "spec.json", "stats.csv"]
+    HEAT_FILES = [f"heat_{kind}_4.csv" for kind in ("dense", "hypercube", "tridiagonal")]
+    COMMANDS = {
+        "quantize": (["quantize"], ["spec.json", "states.csv"]),
+        "sample": (["sample"], SAMPLE_FILES),
+        "sample-euler": (["sample", "--method", "euler"], SAMPLE_FILES),
+        "verify": (["verify", "--suite", "kernel"], ["verify_kernel.csv"]),
+        "adjacency-report": (
+            ["adjacency-report", "--size", "4"], ["adjacency_report.csv"] + HEAT_FILES
+        ),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_every_output_starts_with_the_config_hash(self, tmp_path, sample_config, command):
+        args, names = self.COMMANDS[command]
+        if args[0] in ("quantize", "sample"):
+            args = args + ["--config", sample_config]
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == names
+        [first] = {(out / n).read_text().splitlines()[0] for n in names if n.endswith(".csv")}
+        assert re.fullmatch(r"# config_hash=[0-9a-f]{16}", first)
+        if "spec.json" in names:
+            spec = json.loads((out / "spec.json").read_text())
+            assert spec["config_hash"] == first.removeprefix("# config_hash=")
+
+    # Literal inputs and bytes: no RNG, BLAS or libm is involved, so the
+    # expected text holds on every build.
+    HASH = "0123456789abcdef"
+    HEADER = f"# config_hash={HASH}\n"
+
+    @pytest.mark.parametrize(
+        "states, x, rows",
+        [
+            (
+                [[1, 0, 1], [0, 1, 1]],
+                [[0.5, -1.25], [0.1, 3e-17]],
+                "replica,state_index,bitstring,x_0,x_1\r\n"
+                "0,5,101,0.5,-1.25\r\n"
+                "1,6,011,0.1,3e-17\r\n",
+            ),
+            (
+                [[1] * 70, [0] * 69 + [1]],
+                [[-0.0], [1e300]],
+                "replica,state_index,bitstring,x_0\r\n"
+                f"0,1180591620717411303423,{'1' * 70},-0.0\r\n"
+                f"1,590295810358705651712,{'0' * 69}1,1e+300\r\n",
+            ),
+        ],
+        ids=["D3", "D70"],
+    )
+    def test_samples_csv_bytes(self, tmp_path, states, x, rows):
+        result = SampleResult(
+            x=np.array(x), states=np.array(states, dtype=np.uint8), stats=RunStats()
+        )
+        write_samples_csv(tmp_path / "samples.csv", result, self.HASH)
+        assert (tmp_path / "samples.csv").read_bytes() == (self.HEADER + rows).encode()
+
+    @pytest.mark.parametrize(
+        "events, rows",
+        [
+            ([7, 2], "0,4.0,0.5,1.75,21\r\n1,6.0,0.25,0.5,6\r\n"),
+            (None, "0,4.0,0.5,1.0,12\r\n1,6.0,0.25,1.0,12\r\n"),  # Euler: one query per step
+        ],
+        ids=["uniformization", "euler"],
+    )
+    def test_stats_csv_bytes(self, tmp_path, events, rows):
+        partition = TimePartition([0.0, 0.5, 0.75], [4.0, 6.0], T=1.0, delta=0.25, n_bits=3)
+        stats = RunStats(events_per_segment=None if events is None else np.array(events))
+        write_stats_csv(tmp_path / "stats.csv", partition, stats, 4, self.HASH)
+        header = "segment,beta,dt,events_mean,score_evals\r\n"
+        assert (tmp_path / "stats.csv").read_bytes() == (self.HEADER + header + rows).encode()

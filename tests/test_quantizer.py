@@ -7,20 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from hyperbin.cli import (
+    load_spec,
+    read_points_csv,
+    read_states_csv,
+    save_spec,
+    write_states_csv,
+)
 from hyperbin.quantizer import (
     QuantizerSpec,
     cell_bounds,
     dequantize_sample,
     derive_spec,
-    load_spec,
     quantize_dataset,
     quantize_point,
-    read_points_csv,
-    read_states_csv,
-    save_spec,
     vbin_decode,
     vbin_encode,
-    write_states_csv,
 )
 
 
@@ -230,13 +232,13 @@ class TestSerialization:
     def test_spec_round_trip(self, tmp_path):
         spec = derive_spec(d=2, sigma=1.3, H=0.7, m0=2.0, eps=0.2)
         path = tmp_path / "spec.json"
-        save_spec(spec, path)
+        save_spec(spec, path, "abc")
         loaded = load_spec(path)
         assert loaded == spec
 
     def test_spec_round_trip_direct(self, tmp_path):
         spec = QuantizerSpec.from_grid(d=1, L=4.0, K=64)
-        save_spec(spec, tmp_path / "s.json")
+        save_spec(spec, tmp_path / "s.json", "abc")
         assert load_spec(tmp_path / "s.json") == spec
 
     def test_points_csv(self, tmp_path):
@@ -277,6 +279,6 @@ class TestSerialization:
     def test_states_csv_round_trip(self, tmp_path, rng):
         states = rng.integers(0, 2, size=(5, 6)).astype(np.uint8)
         path = tmp_path / "states.csv"
-        write_states_csv(path, states, header_lines=["config_hash=abc"])
+        write_states_csv(path, states, "abc")
         assert np.array_equal(read_states_csv(path), states)
         assert path.read_text().startswith("# config_hash=abc")

@@ -13,6 +13,7 @@ from conftest import random_initial
 from hyperbin import sampler
 from hyperbin.bits import all_states, state_to_index
 from hyperbin.chain import EmpiricalInitial, marginal_at
+from hyperbin.cli import write_samples_csv, write_stats_csv
 from hyperbin.metrics import EmpiricalLaw, tv_exact, tv_plugin
 from hyperbin.quantizer import QuantizerSpec
 from hyperbin.sampler import (
@@ -24,8 +25,6 @@ from hyperbin.sampler import (
     euler_sample,
     exact_reverse_marginal,
     sample,
-    write_samples_csv,
-    write_stats_csv,
 )
 from hyperbin.scores import ExactScoreOracle, ScoreOracle
 
@@ -606,7 +605,7 @@ class TestCSVOutput:
         result = sample(config, oracle, 1000)
         part = config.partition()
         path = tmp_path / "stats.csv"
-        write_stats_csv(path, part, result.stats, 1000)
+        write_stats_csv(path, part, result.stats, 1000, "z")
         rows = [
             line.split(",")
             for line in path.read_text().splitlines()
@@ -623,7 +622,7 @@ class TestCSVOutput:
         config = SamplerConfig(spec=spec, T=2.0, delta=0.1, seed=5)
         result = sample(config, ExactScoreOracle(initial, config.T), 50)
         path = tmp_path / "samples.csv"
-        write_samples_csv(path, result, header_lines=["config_hash=z"])
+        write_samples_csv(path, result, "z")
         lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "replica,state_index,bitstring,x_0,x_1"
         assert len(lines) == 51
@@ -636,9 +635,9 @@ class TestCSVOutput:
         x = rng.standard_normal((20, 1))
         result = sampler.SampleResult(x=x, states=states, stats=sampler.RunStats())
         path = tmp_path / "samples.csv"
-        write_samples_csv(path, result)
+        write_samples_csv(path, result, "z")
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
+            rows = list(csv.reader(fh))[2:]  # past the config_hash line and the header
         assert [r[2] for r in rows] == ["".join(map(str, s)) for s in states]
         assert all(int(r[1]) == int(r[2][::-1], 2) for r in rows)
         assert int(rows[0][1]) == 2**D - 1

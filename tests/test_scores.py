@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_initial
-from hyperbin.bits import all_states, index_to_state
+from hyperbin.bits import all_states, index_to_state, splitmix64, state_key
 from hyperbin.chain import EmpiricalInitial, marginal_at
 from hyperbin.scores import (
     TIME_BUCKETS,
@@ -339,6 +339,21 @@ class TestPerturbedOracle:
         assert digest == self.NOISE_SHA256[D]
         expected = exact.ratio_all(t, states) * np.exp(noise)
         assert np.array_equal(oracle.ratio_all(t, states), expected)
+
+    @pytest.mark.parametrize("D", [1, 6, 12, 63, 64, 65, 70, 128, 130])
+    def test_state_key_matches_weighted_sum_formula(self, D):
+        # reference: each 64-bit word summed as bits * 2^i in uint64
+        states = np.random.default_rng(D).integers(0, 2, size=(300, D), dtype=np.uint8)
+        states[0], states[1] = 1, 0
+        bits = states.astype(np.uint64)
+        expected = np.zeros(len(states), dtype=np.uint64)
+        for lo in range(0, D, 64):
+            word = bits[:, lo : lo + 64]
+            weights = np.uint64(1) << np.arange(word.shape[1], dtype=np.uint64)
+            packed = (word * weights).sum(axis=1, dtype=np.uint64)
+            expected = splitmix64(expected ^ packed ^ np.uint64(lo))
+        assert np.array_equal(state_key(states), expected)
+        assert np.array_equal(state_key(states[2]), expected[2:3])
 
     def test_loss_increases_with_scale(self, rng):
         initial = random_initial(rng, 4, 5)
