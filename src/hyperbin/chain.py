@@ -143,6 +143,15 @@ def marginal_at(initial: EmpiricalInitial, t: float) -> np.ndarray:
     return probs / probs.sum()
 
 
+def dense_ratios(probs: np.ndarray) -> np.ndarray:
+    """Flip ratios probs[y ^ 2^i] / probs[y] of a dense 2^D law, shape
+    (2^D, D); for the marginal at forward time T - t, the true reverse
+    rates at reverse time t."""
+    n = len(probs)
+    flips = np.arange(n)[:, None] ^ (1 << np.arange(n.bit_length() - 1))
+    return probs[flips] / probs[:, None]
+
+
 def dense_rate_matrix(D: int) -> np.ndarray:
     """Generator as a dense matrix: entry (y, y') is 1 when Ham(y, y') = 1,
     -D on the diagonal; columns sum to zero."""

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bits import index_to_state, state_to_index
+
 
 @dataclass(frozen=True)
 class QuantizerSpec:
@@ -42,6 +44,8 @@ class QuantizerSpec:
             raise ValueError("L must be positive")
         if self.K < 2 or self.K & (self.K - 1):
             raise ValueError(f"K={self.K} is not a power of two >= 2")
+        if self.K > 1 << 63:
+            raise ValueError(f"K={self.K} needs more than 63 bits per axis")
 
     @property
     def l(self) -> float:
@@ -99,9 +103,11 @@ def quantize_point(spec: QuantizerSpec, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"point has {x.shape[-1]} coordinates, expected {spec.d}")
     if not np.isfinite(x).all():
         raise ValueError("point coordinates must be finite")
-    # Clip in float first: casting a float beyond the int64 range is undefined.
+    # Clip in float first: casting a float beyond the integer range is
+    # undefined. The floor lies in [0, K], and K <= 2^63 fits uint64.
     x = np.clip(x, -spec.L, spec.L)
-    return np.clip(np.floor((x + spec.L) / spec.l).astype(np.int64), 0, spec.K - 1)
+    cell = np.floor((x + spec.L) / spec.l).astype(np.uint64)
+    return np.minimum(cell, np.uint64(spec.K - 1)).astype(np.int64)
 
 
 def vbin_encode(spec: QuantizerSpec, index: np.ndarray) -> np.ndarray:
@@ -112,10 +118,7 @@ def vbin_encode(spec: QuantizerSpec, index: np.ndarray) -> np.ndarray:
         raise ValueError(f"index has {idx.shape[-1]} coordinates, expected {spec.d}")
     if idx.min() < 0 or idx.max() >= spec.K:
         raise ValueError(f"grid index out of range [0, {spec.K})")
-    bits = np.empty((*idx.shape, spec.m), dtype=np.uint8)
-    for j in range(spec.m):
-        bits[..., j] = (idx >> j) & 1
-    return bits.reshape(*idx.shape[:-1], spec.n_bits)
+    return index_to_state(idx, spec.m).reshape(*idx.shape[:-1], spec.n_bits)
 
 
 def vbin_decode(spec: QuantizerSpec, state: np.ndarray) -> np.ndarray:
@@ -123,9 +126,7 @@ def vbin_decode(spec: QuantizerSpec, state: np.ndarray) -> np.ndarray:
     bits = np.asarray(state)
     if bits.shape[-1] != spec.n_bits:
         raise ValueError(f"state has {bits.shape[-1]} bits, expected {spec.n_bits}")
-    per_coord = bits.reshape(*bits.shape[:-1], spec.d, spec.m).astype(np.int64)
-    weights = 1 << np.arange(spec.m, dtype=np.int64)
-    return per_coord @ weights
+    return state_to_index(bits.reshape(*bits.shape[:-1], spec.d, spec.m))
 
 
 def cell_bounds(spec: QuantizerSpec, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -167,9 +167,13 @@ class SamplerConfig:
 
 @dataclass
 class RunStats:
-    """Work counters aggregated over replicas. `score_evals` counts one
-    oracle query per neighbor per event (D per event); `poisson_events`
-    counts the events themselves, which is the per-event-call cost."""
+    """Work counters aggregated over replicas. Under uniformization,
+    `score_evals` counts one oracle query per neighbor per event (D per
+    event), `poisson_events` counts the events themselves, which is the
+    per-event-call cost, and `events_per_segment` splits them by segment.
+    Euler has no events: it counts D score evaluations per replica per
+    step and leaves `poisson_events` at 0 and `events_per_segment` at
+    None."""
 
     score_evals: int = 0
     poisson_events: int = 0

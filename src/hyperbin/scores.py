@@ -12,7 +12,9 @@ ways, picked from the bit count D and the support size P alone:
   budget (D <= 19): the weight of each Hamming shell around every state,
   built once by additions only, so a query costs O(D^2) whatever P is;
 - support matmul otherwise (any D): Hamming distances from each query to
-  each support point, O(P D) per query, never materializing 2^D vectors.
+  each support point, popcounts of packed 64-bit words (see
+  :mod:`hyperbin.bits`), then two (B, P) @ (P, D) products, O(P D) per
+  query, never materializing 2^D vectors.
 
 Neither path loses digits to cancellation: against a 50-digit mpmath
 reference both agree to within 4.4e-16 relative error for D in
@@ -26,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bits import all_states, hamming_to_rows, splitmix64, state_key, state_to_index
-from .chain import EmpiricalInitial, flip_probability, marginal_at
+from .chain import EmpiricalInitial, dense_ratios, flip_probability, marginal_at
 
 # Elementwise budget for the largest array of a query chunk, (batch, support)
 # mixture terms or (batch, D, D + 1) neighbour shells, and for the shell table.
@@ -93,18 +95,19 @@ class ExactScoreOracle(ScoreOracle):
     The shell table serves queries when P^2 >= 2^D and (D + 1) 2^D <=
     _CHUNK_ELEMENTS, the support matmul otherwise. Measured ms per
     `ratio_all` call (table/matmul; 2-vCPU Xeon VM, numpy 2.4.6, one BLAS
-    thread, random support):
+    thread, random support, best of 5 runs):
 
         D   B     P=8        P=16       P=32       P=64       P=256
-        6   2000  0.75/0.71  0.69/0.99  0.77/2.60  0.70/3.69  -
-        10  520   0.41/0.30  0.34/0.30  0.32/0.46  0.33/0.74  0.42/4.07
-        12  520   0.51/0.32  0.48/0.35  0.45/0.46  0.40/0.77  0.52/3.03
-        16  2000  3.83/0.88  4.18/1.34  3.38/1.99  4.06/3.33  2.73/14.8
+        6   2000  0.34/0.45  0.35/0.59  0.36/1.48  0.34/2.70  -
+        10  520   0.17/0.16  0.17/0.19  0.17/0.26  0.17/0.41  0.16/2.61
+        12  520   0.20/0.16  0.19/0.20  0.20/0.30  0.20/0.45  0.20/2.66
+        16  2000  1.54/0.55  1.53/0.72  1.50/1.12  1.53/1.75  1.56/6.98
 
     The table costs the same at any P; the matmul grows with P. At D = 6
-    and 10 the rule sits at the measured crossover (a tie at D = 6, P = 8).
-    Above that it is conservative: at D = 16 the table already wins 1.6x
-    at P = 128. Building the table takes 0.6 ms at D = 10, 1.9 ms at
+    the rule sits at the measured crossover (near P = 8 over repeated
+    runs). Above that it is conservative: the two about tie at D = 10,
+    P = 16, and the table already wins 1.5x at D = 12, P = 32 and 1.1x at
+    D = 16, P = 64. Building the table takes 0.6 ms at D = 10, 1.9 ms at
     D = 12 and 69 ms at D = 16.
     """
 
@@ -269,15 +272,11 @@ def score_entropy_loss(
     if grid[0] <= 0 or grid[-1] > T:
         raise ValueError("time_grid must lie inside (0, T]")
     states = all_states(D)
-    idx = np.arange(1 << D)
     values = np.empty(len(grid))
     for k, s in enumerate(grid):
         probs = marginal_at(initial, s)
-        true_ratios = np.stack(
-            [probs[idx ^ (1 << i)] / probs[idx] for i in range(D)], axis=1
-        )
         est = oracle.ratio_all(min(T - s, np.nextafter(T, 0.0)), states)
-        div = bregman_phi(true_ratios, est)
+        div = bregman_phi(dense_ratios(probs), est)
         values[k] = float(probs @ div.sum(axis=1))
     return float(np.trapezoid(values, grid))
 

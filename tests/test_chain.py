@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import random_initial
-from hyperbin.bits import all_states, index_to_state, state_to_index
+from hyperbin.bits import all_states, hamming_to_rows, index_to_state, state_to_index
 from hyperbin.chain import (
     EmpiricalInitial,
     dense_rate_matrix,
@@ -74,6 +74,35 @@ class TestTransitionProb:
             lhs = kernel_matrix(D, a + b)
             rhs = kernel_matrix(D, b) @ kernel_matrix(D, a)
             assert np.abs(lhs - rhs).max() < 1e-9
+
+
+class TestBitLayout:
+    @pytest.mark.parametrize("B, P", [(0, 5), (9, 1), (40, 30)])
+    @pytest.mark.parametrize("D", [1, 6, 63, 64, 65, 130])
+    def test_hamming_to_rows_matches_brute_force(self, D, B, P):
+        rng = np.random.default_rng(D * 100 + B)
+        states = rng.integers(0, 2, size=(B, D), dtype=np.uint8)
+        rows = rng.integers(0, 2, size=(P, D), dtype=np.uint8)
+        rows[0] = 1  # an all-ones row fills each word up to bit D - 1
+        ham = hamming_to_rows(states, rows)
+        assert ham.dtype == np.int64 and ham.shape == (B, P)
+        assert np.array_equal(ham, (states[:, None] != rows[None]).sum(-1))
+
+    @pytest.mark.parametrize("D", [1, 6, 63])
+    def test_state_to_index_any_leading_shape(self, D):
+        rng = np.random.default_rng(D)
+        states = rng.integers(0, 2, size=(5, 3, D), dtype=np.uint8)
+        states[0, 0] = 1
+        weights = np.uint64(1) << np.arange(D, dtype=np.uint64)
+        expected = (states * weights).sum(axis=-1, dtype=np.uint64).astype(np.int64)
+        got = state_to_index(states)
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+        assert state_to_index(states[1, 2]) == int(expected[1, 2])
+        assert np.array_equal(index_to_state(got, D), states)
+
+    def test_state_to_index_rejects_64_bits(self):
+        with pytest.raises(ValueError, match="D <= 63"):
+            state_to_index(np.zeros((2, 64), dtype=np.uint8))
 
 
 class TestSampleForward:

@@ -100,6 +100,20 @@ class TestQuantizeCommand:
         )
         assert main(["quantize", "--config", config, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "quantizer",
+        [
+            {"d": 1, "L": 1.0, "K": 2**64},
+            {"d": 1, "sigma": 1.0, "H": 1.0, "m0": 1.0, "eps": 1e-20},  # K = 2^76
+        ],
+    )
+    def test_more_than_63_bits_per_axis_exits_2(self, tmp_path, capsys, points_csv, quantizer):
+        config = write_config(
+            tmp_path / "c.json", {"target": {"csv": points_csv}, "quantizer": quantizer}
+        )
+        assert main(["quantize", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert "63 bits per axis" in capsys.readouterr().err
+
     def test_dequantized_mean_shift_bounded_by_cell_width(self, tmp_path, quantize_config):
         # quantize -> decode cell -> cell midpoints; the mean moves < l
         out = tmp_path / "out"

@@ -54,6 +54,7 @@ class TestDeriveSpec:
             dict(d=1, sigma=-1.0, H=1.0, m0=1.0, eps=0.1),
             dict(d=1, sigma=1.0, H=0.0, m0=1.0, eps=0.1),
             dict(d=0, sigma=1.0, H=1.0, m0=1.0, eps=0.1),
+            dict(d=1, sigma=1.0, H=1.0, m0=1.0, eps=1e-20),  # K = 2^76
         ],
     )
     def test_rejects_bad_inputs(self, kwargs):
@@ -63,6 +64,14 @@ class TestDeriveSpec:
     def test_from_grid_requires_power_of_two(self):
         with pytest.raises(ValueError):
             QuantizerSpec.from_grid(d=1, L=1.0, K=6)
+
+    def test_from_grid_allows_at_most_63_bits_per_axis(self):
+        with pytest.raises(ValueError, match="63 bits"):
+            QuantizerSpec.from_grid(d=1, L=1.0, K=1 << 64)
+        spec = QuantizerSpec.from_grid(d=1, L=1.0, K=1 << 63)
+        cells = quantize_point(spec, np.array([[-1.0], [0.99], [1.0]]))
+        assert cells[:, 0].tolist() == [0, 9177255176670501888, spec.K - 1]
+        assert np.array_equal(vbin_decode(spec, vbin_encode(spec, cells)), cells)
 
 
 class TestQuantizePoint:
