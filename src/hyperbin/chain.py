@@ -49,7 +49,13 @@ def _binary_rows(states) -> np.ndarray:
     """States as a 2-D uint8 array, after checking that every raw value is
     0 or 1 (a cast first would map 256 to 0 and 0.7 to 0)."""
     states = np.atleast_2d(np.asarray(states))
-    if not ((states == 0) | (states == 1)).all():
+    # Unsigned and boolean values need one pass, their maximum: this runs
+    # on every oracle query, whose states are uint8.
+    if states.dtype.kind in "bu":
+        bad = states.max(initial=0) > 1
+    else:
+        bad = not ((states == 0) | (states == 1)).all()
+    if bad:
         raise ValueError("states must be 0/1 arrays")
     return states.astype(np.uint8, copy=False)
 

@@ -25,14 +25,20 @@ noise, emulating a trained score model of controllable quality.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .bits import all_states, hamming_to_rows, splitmix64, state_key, state_to_index
-from .chain import EmpiricalInitial, dense_ratios, flip_probability, marginal_at
+from .chain import EmpiricalInitial, _binary_rows, dense_ratios, flip_probability, marginal_at
 
-# Elementwise budget for the largest array of a query chunk, (batch, support)
-# mixture terms or (batch, D, D + 1) neighbour shells, and for the shell table.
+# Elementwise budget for the (batch, support) mixture terms of a matmul query
+# chunk, and for the shell table.
 _CHUNK_ELEMENTS = 1 << 24
+
+# Elementwise budget for the (batch, D, D + 1) neighbour shells of a table
+# query chunk: each thread's reused workspace, 2 MB of float64.
+_TABLE_CHUNK_ELEMENTS = 1 << 18
 
 # Uniform slices of [0, T) within which a perturbed oracle's noise is fixed.
 TIME_BUCKETS = 64
@@ -109,6 +115,11 @@ class ExactScoreOracle(ScoreOracle):
     P = 16, and the table already wins 1.5x at D = 12, P = 32 and 1.1x at
     D = 16, P = 64. Building the table takes 0.6 ms at D = 10, 1.9 ms at
     D = 12 and 69 ms at D = 16.
+
+    Table queries run in chunks of 2^18 neighbour shells, read into one
+    workspace per thread (the sampler's threads share an oracle), so no
+    query allocates a (B, D, D + 1) array. At B = 65536 these chunks ran
+    1.1x (D = 6) to 1.5x (D = 12) faster than chunks of 2^24.
     """
 
     def __init__(self, initial: EmpiricalInitial, T: float):
@@ -126,10 +137,13 @@ class ExactScoreOracle(ScoreOracle):
             self._bit_values = 1 << np.arange(D)
             k0 = np.argmax(self._shells > 0, axis=1)
             self._exponents = np.maximum(np.arange(D + 1) - k0[:, None], -1).astype(np.int8)
+            self._chunk_rows = _TABLE_CHUNK_ELEMENTS // (D * (D + 1))
+            self._workspace = threading.local()
         else:
             self._shells = None
             self._ones = initial.states.astype(np.float64)
             self._zeros = 1.0 - self._ones
+            self._chunk_rows = max(1, _CHUNK_ELEMENTS // P)
 
     @property
     def uses_shell_table(self) -> bool:
@@ -137,7 +151,7 @@ class ExactScoreOracle(ScoreOracle):
         return self._shells is not None
 
     def ratio_all(self, t, states) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=np.uint8))
+        states = _binary_rows(states)
         B, D = states.shape
         if D != self.n_bits:
             raise ValueError(f"states have {D} bits, expected {self.n_bits}")
@@ -148,14 +162,10 @@ class ExactScoreOracle(ScoreOracle):
         # ratios; rho lies in (0, 1] and increases with T - t.
         pf = flip_probability(self.T - t)
         rho = pf / (1.0 - pf)
-        if self.uses_shell_table:
-            ratio_chunk, width = self._table_chunk, D * (D + 1)
-        else:
-            ratio_chunk, width = self._matmul_chunk, len(self._ones)
-        chunk = max(1, _CHUNK_ELEMENTS // width)
+        ratio_chunk = self._table_chunk if self.uses_shell_table else self._matmul_chunk
         out = np.empty((B, D))
-        for lo in range(0, B, chunk):
-            hi = min(B, lo + chunk)
+        for lo in range(0, B, self._chunk_rows):
+            hi = min(B, lo + self._chunk_rows)
             out[lo:hi] = ratio_chunk(rho[lo:hi], states[lo:hi])
         if not np.isfinite(out).all():
             raise FloatingPointError(
@@ -172,7 +182,15 @@ class ExactScoreOracle(ScoreOracle):
         own = self._shells[y]  # (B, D+1)
         powers = rho[:, None] ** self._exponents[y]
         den = np.einsum("bk,bk->b", own, powers)
-        neighbours = np.take(self._shells, y[:, None] ^ self._bit_values, axis=0)
+        # A fresh neighbour array per query faults its pages in again once
+        # glibc has returned them. Indices are always in range, and
+        # mode="clip" writes into `out` directly where "raise" buffers.
+        workspace = getattr(self._workspace, "neighbours", None)
+        if workspace is None:
+            D = self.n_bits
+            workspace = self._workspace.neighbours = np.empty((self._chunk_rows, D, D + 1))
+        neighbours = workspace[: len(y)]
+        np.take(self._shells, y[:, None] ^ self._bit_values, axis=0, out=neighbours, mode="clip")
         num = np.einsum("bik,bk->bi", neighbours, powers)
         return num / den[:, None]
 

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -179,14 +181,42 @@ class TestExactOracle:
         assert np.isfinite(ratios).all() and (ratios > 0).all()
 
     def test_rejects_bad_queries(self, rng):
-        initial = random_initial(rng, 3, 2)
-        oracle = ExactScoreOracle(initial, T=1.0)
-        with pytest.raises(ValueError):
-            oracle.ratio_all(1.0, np.zeros((1, 3), np.uint8))  # t == T
-        with pytest.raises(ValueError):
-            oracle.ratio_all(-0.1, np.zeros((1, 3), np.uint8))
-        with pytest.raises(ValueError):
-            oracle.ratio_all(0.5, np.zeros((1, 4), np.uint8))  # wrong state size
+        for support, table in ((2, False), (3, True)):
+            oracle = ExactScoreOracle(distinct_support(rng, 3, support), T=1.0)
+            assert oracle.uses_shell_table == table
+            with pytest.raises(ValueError):
+                oracle.ratio_all(1.0, np.zeros((1, 3), np.uint8))  # t == T
+            with pytest.raises(ValueError):
+                oracle.ratio_all(-0.1, np.zeros((1, 3), np.uint8))
+            with pytest.raises(ValueError):
+                oracle.ratio_all(0.5, np.zeros((1, 4), np.uint8))  # wrong state size
+            # non-binary values: a cast would read 2 as another cell or as 1
+            with pytest.raises(ValueError):
+                oracle.ratio_all(0.5, [[2, 0, 0]])
+            with pytest.raises(ValueError):
+                oracle.ratio_all(0.5, np.full((1, 3), 3, np.uint8))
+
+    def test_table_queries_reuse_a_workspace_per_thread(self, rng):
+        # D = 12: 2^18 / (12 * 13) = 1680 rows per chunk
+        oracle = ExactScoreOracle(random_initial(rng, 12, 300), T=1.0)
+        assert oracle.uses_shell_table
+        states = rng.integers(0, 2, (4000, 12), dtype=np.uint8)
+        t = rng.uniform(0.0, 1.0, 4000)
+        whole = oracle.ratio_all(t, states)
+        parts = [oracle.ratio_all(t[i : i + 500], states[i : i + 500]) for i in range(0, 4000, 500)]
+        assert np.array_equal(whole, np.concatenate(parts))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            halves = pool.map(oracle.ratio_all, (t[:2000], t[2000:]), (states[:2000], states[2000:]))
+        assert np.array_equal(whole, np.concatenate(list(halves)))
+        # once this thread's workspace exists, a query allocates less than
+        # one (B, D, D + 1) float64 neighbour array
+        tracemalloc.start()
+        try:
+            oracle.ratio_all(t[:1000], states[:1000])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * 12 * 13 * 8
 
 
 class TestOracleProperties:
