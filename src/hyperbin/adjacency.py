@@ -15,11 +15,11 @@ from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .chain import dense_rate_matrix
+from .chain import MAX_RATE_MATRIX_BITS, dense_rate_matrix
 
 KINDS = ("tridiagonal", "dense", "hypercube")
 
-MAX_STATES = 4096
+MAX_STATES = 1 << MAX_RATE_MATRIX_BITS
 MIXING_TV = 0.01
 MIXING_TOL = 1e-4
 

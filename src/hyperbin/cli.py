@@ -157,15 +157,6 @@ def save_spec(spec: QuantizerSpec, path, config_hash: str) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def load_spec(path) -> QuantizerSpec:
-    payload = json.loads(Path(path).read_text())
-    extras = {
-        k: (float(payload[k]) if payload.get(k) is not None else None)
-        for k in ("sigma", "H", "m0", "eps")
-    }
-    return QuantizerSpec(d=int(payload["d"]), L=float(payload["L"]), K=int(payload["K"]), **extras)
-
-
 def read_points_csv(path) -> np.ndarray:
     """Read an (N, d) point set: one row per point, float columns. Empty
     and `#` comment lines are skipped; the first other row may be a header.
@@ -204,21 +195,6 @@ def write_states_csv(path, states: np.ndarray, config_hash: str) -> None:
         writer.writerows(states.tolist())
 
 
-def read_states_csv(path) -> np.ndarray:
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#") or row[0].startswith("b"):
-                continue
-            rows.append([int(v) for v in row])
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    states = np.asarray(rows, dtype=np.uint8)
-    if not np.isin(states, (0, 1)).all():
-        raise ValueError(f"{path}: entries must be 0/1")
-    return states
-
-
 def write_samples_csv(path, result: SampleResult, config_hash: str) -> None:
     """Sample table: (replica, state_index, bitstring, x_0..x_{d-1}).
 
@@ -239,11 +215,9 @@ def write_samples_csv(path, result: SampleResult, config_hash: str) -> None:
 def write_stats_csv(
     path, partition: TimePartition, stats: RunStats, n_samples: int, config_hash: str
 ) -> None:
-    """Per-segment summary: (segment, beta, dt, events_mean, score_evals).
-    Euler stats, without `events_per_segment`, count one query per replica."""
+    """Per-segment summary: (segment, beta, dt, events_mean, score_evals),
+    from the oracle rows queried per segment (one per replica per Euler step)."""
     seg_events = stats.events_per_segment
-    if seg_events is None:
-        seg_events = np.full(partition.n_segments, n_samples, dtype=np.int64)
     means = seg_events / n_samples if n_samples else np.zeros(partition.n_segments)
     rows = zip(partition.betas, np.diff(partition.times), means, seg_events)
     with _open_output(path, config_hash) as fh:

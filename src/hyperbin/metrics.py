@@ -1,5 +1,5 @@
 """Distances between discrete laws, plug-in estimators, and the
-continuous-histogram distance against an analytic density."""
+continuous-histogram TV against exact per-cell masses."""
 
 from __future__ import annotations
 
@@ -7,10 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import check_distribution
+from .chain import DISTRIBUTION_ATOL, check_distribution
 from .quantizer import QuantizerSpec, quantize_point
-
-QUADRATURE_ORDER = 16
 
 
 def tv_exact(p: np.ndarray, q: np.ndarray) -> float:
@@ -74,54 +72,30 @@ def tv_plugin(samples: EmpiricalLaw, q: np.ndarray) -> float:
     return tv_exact(samples.to_dense(len(q)), q)
 
 
-def _gauss_legendre_cells(spec: QuantizerSpec, density) -> np.ndarray:
-    """Integral of `density` over every cell of the grid, flat (K^d,) array
-    in C order over the grid indices.
+def tv_continuous_histogram(
+    samples: np.ndarray, cell_mass: np.ndarray, spec: QuantizerSpec
+) -> float:
+    """TV between the sample histogram on the grid and a continuous law.
 
-    Tensor-product Gauss-Legendre rule per cell, evaluated in bounded
-    chunks of cells; d <= 3 keeps the K^d enumeration tractable.
-    """
-    if spec.d > 3:
-        raise ValueError("cell integration supports d <= 3")
-    nodes, weights = np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
-    half = spec.l / 2.0
-    # Node offsets and weights for one cell: (order^d, d) and (order^d,).
-    offset_axes = np.meshgrid(*([nodes * half] * spec.d), indexing="ij")
-    offsets = np.stack([a.reshape(-1) for a in offset_axes], axis=-1)
-    weight_axes = np.meshgrid(*([weights * half] * spec.d), indexing="ij")
-    w = np.prod(np.stack([a.reshape(-1) for a in weight_axes], axis=-1), axis=-1)
-
-    n_cells = spec.K**spec.d
-    grid_axes = np.meshgrid(*([np.arange(spec.K)] * spec.d), indexing="ij")
-    centers = -spec.L + (np.stack([a.reshape(-1) for a in grid_axes], axis=-1) + 0.5) * spec.l
-
-    mass = np.empty(n_cells)
-    chunk = max(1, (1 << 22) // offsets.shape[0])
-    for lo in range(0, n_cells, chunk):
-        hi = min(n_cells, lo + chunk)
-        pts = centers[lo:hi, None, :] + offsets[None, :, :]
-        vals = np.asarray(density(pts.reshape(-1, spec.d)), dtype=np.float64)
-        if not np.isfinite(vals).all():
-            raise ValueError("density evaluation failed (non-finite values)")
-        mass[lo:hi] = vals.reshape(hi - lo, -1) @ w
-    return mass
-
-
-def tv_continuous_histogram(samples: np.ndarray, density, spec: QuantizerSpec) -> float:
-    """TV between the sample histogram on the grid and the analytic density.
-
-    Samples are binned with the quantizer; the density is integrated per
-    cell (QUADRATURE_ORDER Gauss-Legendre points per axis) and its mass
-    outside the cube counts fully toward the distance. `density` maps
-    (N, d) points to densities.
+    Samples are binned with the quantizer. `cell_mass` holds the law's
+    mass in every cell of the grid, flat (K^d,) in C order over the grid
+    indices; its mass outside the cube, 1 - sum(cell_mass), counts fully
+    toward the distance.
     """
     pts = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if pts.shape[0] == 0:
         raise ValueError("no samples")
-    cell_mass = _gauss_legendre_cells(spec, density)
-    tail = 1.0 - float(cell_mass.sum())
+    cell_mass = np.asarray(cell_mass, dtype=np.float64)
+    n_cells = spec.K**spec.d
+    if cell_mass.shape != (n_cells,):
+        raise ValueError(f"cell_mass must have shape ({n_cells},), got {cell_mass.shape}")
+    if not (cell_mass >= 0).all():  # also catches NaN
+        raise ValueError("cell_mass entries must be nonnegative")
+    total = float(cell_mass.sum())
+    if total > 1.0 + DISTRIBUTION_ATOL:
+        raise ValueError(f"cell_mass sums to {total!r} > 1")
     idx = quantize_point(spec, pts)
     flat = np.ravel_multi_index(tuple(idx.T), (spec.K,) * spec.d)
-    counts = np.bincount(flat, minlength=spec.K**spec.d).astype(np.float64)
+    counts = np.bincount(flat, minlength=n_cells).astype(np.float64)
     emp = counts / counts.sum()
-    return 0.5 * (float(np.abs(emp - cell_mass).sum()) + max(tail, 0.0))
+    return 0.5 * (float(np.abs(emp - cell_mass).sum()) + max(1.0 - total, 0.0))

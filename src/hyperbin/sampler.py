@@ -167,13 +167,12 @@ class SamplerConfig:
 
 @dataclass
 class RunStats:
-    """Work counters aggregated over replicas. Under uniformization,
-    `score_evals` counts one oracle query per neighbor per event (D per
-    event), `poisson_events` counts the events themselves, which is the
-    per-event-call cost, and `events_per_segment` splits them by segment.
-    Euler has no events: it counts D score evaluations per replica per
-    step and leaves `poisson_events` at 0 and `events_per_segment` at
-    None."""
+    """Work counters aggregated over replicas. `events_per_segment` counts
+    the oracle rows queried in each segment of the run's partition, and
+    `score_evals` one query per neighbor per row (D per row). Under
+    uniformization a row is a Poisson event, counted in `poisson_events`.
+    Euler has no events: it queries every replica once per step and
+    leaves `poisson_events` at 0."""
 
     score_evals: int = 0
     poisson_events: int = 0
@@ -307,7 +306,7 @@ def _euler_chunk(
     states: np.ndarray,
     rng: np.random.Generator,
 ) -> RunStats:
-    stats = RunStats()
+    stats = RunStats(events_per_segment=np.full(n_steps, len(states), dtype=np.int64))
     rows = np.arange(len(states))
     h = (config.T - config.delta) / n_steps
     for t, _, beta in euler_steps(config, n_steps).segments():
@@ -355,8 +354,7 @@ def _run_chunks(config, oracle, n_samples, runner, rng_tag):
         total.accepted_moves += st.accepted_moves
         total.truncation_activations += st.truncation_activations
         total.clipped_steps += st.clipped_steps
-        if total.events_per_segment is not None:  # None for Euler
-            total.events_per_segment += st.events_per_segment
+        total.events_per_segment += st.events_per_segment
     return SampleResult(x=x, states=states, stats=total)
 
 

@@ -30,7 +30,14 @@ import threading
 import numpy as np
 
 from .bits import all_states, hamming_to_rows, splitmix64, state_key, state_to_index
-from .chain import EmpiricalInitial, _binary_rows, dense_ratios, flip_probability, marginal_at
+from .chain import (
+    MAX_RATE_MATRIX_BITS,
+    EmpiricalInitial,
+    _binary_rows,
+    dense_ratios,
+    flip_probability,
+    marginal_at,
+)
 
 # Elementwise budget for the (batch, support) mixture terms of a matmul query
 # chunk, and for the shell table.
@@ -258,10 +265,7 @@ class PerturbedScoreOracle(ScoreOracle):
         return (2.0 * unit - 1.0) * self.noise_scale
 
     def ratio_all(self, t, states) -> np.ndarray:
-        base = self.inner.ratio_all(t, states)
-        if self.noise_scale == 0.0:
-            return base
-        return base * np.exp(self.log_noise(t, states))
+        return self.inner.ratio_all(t, states) * np.exp(self.log_noise(t, states))
 
 
 def score_entropy_loss(
@@ -277,13 +281,13 @@ def score_entropy_loss(
     ratios across all Hamming-1 neighbors. `time_grid` is the trapezoidal
     quadrature grid of forward times, strictly inside (0, T]; the true
     ratio at forward time s answers the reverse-time query T - s. Dense
-    marginals cap D at 12.
+    marginals cap D at MAX_RATE_MATRIX_BITS.
     """
     if oracle.T != T:
         raise ValueError(f"oracle horizon T={oracle.T} differs from the loss horizon T={T}")
     D = initial.n_bits
-    if D > 12:
-        raise ValueError("exact loss evaluation needs D <= 12")
+    if D > MAX_RATE_MATRIX_BITS:
+        raise ValueError(f"exact loss evaluation needs D <= {MAX_RATE_MATRIX_BITS}")
     grid = np.asarray(time_grid, dtype=np.float64)
     if grid.ndim != 1 or len(grid) < 2 or (np.diff(grid) <= 0).any():
         raise ValueError("time_grid must be strictly increasing with >= 2 nodes")

@@ -290,8 +290,7 @@ def check_c08(scale: str, seed: int) -> list[CheckRow]:
     eps = 0.1
     config = SamplerConfig.default_schedule(spec, eps, seed=seed)
     result = sample(config, ExactScoreOracle(initial, config.T), size["n"])
-    density = lambda p: 0.5 * norm.pdf(p[:, 0], -1.5, 0.5) + 0.5 * norm.pdf(p[:, 0], 1.5, 0.5)
-    tv = tv_continuous_histogram(result.x, density, spec)
+    tv = tv_continuous_histogram(result.x, cell_mass, spec)
     threshold = 5 * eps + size["slack"]
     detail = (
         f"end-to-end continuous TV on a Gaussian mixture: continuous-histogram TV = "

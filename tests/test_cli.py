@@ -9,10 +9,9 @@ import pytest
 from hyperbin import verify as verify_suites
 from hyperbin.adjacency import MAX_STATES
 from hyperbin.cli import (
-    load_spec,
+    build_quantizer_spec,
     main,
     read_points_csv,
-    read_states_csv,
     write_samples_csv,
     write_stats_csv,
 )
@@ -22,6 +21,11 @@ from hyperbin.sampler import RunStats, SampleResult, TimePartition, beta_value, 
 def write_config(path, config):
     path.write_text(json.dumps(config))
     return str(path)
+
+
+def read_states(path):
+    """The 0/1 rows of a states.csv, below its hash line and header."""
+    return np.loadtxt(path, delimiter=",", skiprows=2, dtype=np.uint8, ndmin=2)
 
 
 @pytest.fixture
@@ -61,10 +65,8 @@ class TestQuantizeCommand:
     def test_row_cardinality(self, tmp_path, quantize_config):
         out = tmp_path / "out"
         assert main(["quantize", "--config", quantize_config, "--out", str(out)]) == 0
-        states = read_states_csv(out / "states.csv")
-        assert states.shape == (3, 3)
-        spec = load_spec(out / "spec.json")
-        assert spec.K == 8
+        assert read_states(out / "states.csv").shape == (3, 3)
+        assert json.loads((out / "spec.json").read_text())["K"] == 8
 
     def test_malformed_row_reports_line_and_exits_4(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -118,11 +120,10 @@ class TestQuantizeCommand:
         # quantize -> decode cell -> cell midpoints; the mean moves < l
         out = tmp_path / "out"
         main(["quantize", "--config", quantize_config, "--out", str(out)])
-        spec = load_spec(out / "spec.json")
-        states = read_states_csv(out / "states.csv")
+        spec = build_quantizer_spec(json.loads(open(quantize_config).read()))
         from hyperbin.quantizer import cell_bounds, vbin_decode
 
-        idx = vbin_decode(spec, states)
+        idx = vbin_decode(spec, read_states(out / "states.csv"))
         lower, upper = cell_bounds(spec, idx)
         midpoints = 0.5 * (lower + upper)
         pts = read_points_csv(out.parent / "points.csv")
@@ -173,7 +174,7 @@ class TestSampleCommand:
         out = tmp_path / "stats_check"
         main(["sample", "--config", sample_config, "--out", str(out)])
         config = json.loads(open(sample_config).read())
-        spec = load_spec(out / "spec.json")
+        spec = build_quantizer_spec(config)
         eps = config["sampler"]["eps"]
         T = math.log(spec.d / eps) + math.log(spec.m)
         part = build_partition(spec.n_bits, T, eps / (spec.d * spec.m))
@@ -194,7 +195,7 @@ class TestSampleCommand:
         printed = int(re.search(r"score_evals=(\d+)", capsys.readouterr().out).group(1))
         with open(out / "stats.csv", newline="") as fh:
             rows = [r for r in csv.reader(fh) if not r[0].startswith("#")][1:]
-        spec = load_spec(out / "spec.json")
+        spec = build_quantizer_spec(config)
         eps = config["sampler"]["eps"]
         T = math.log(spec.d / eps) + math.log(spec.m)
         h = (T - eps / (spec.d * spec.m)) / 16
@@ -404,13 +405,13 @@ class TestFileFormats:
         "events, rows",
         [
             ([7, 2], "0,4.0,0.5,1.75,21\r\n1,6.0,0.25,0.5,6\r\n"),
-            (None, "0,4.0,0.5,1.0,12\r\n1,6.0,0.25,1.0,12\r\n"),  # Euler: one query per step
+            ([4, 4], "0,4.0,0.5,1.0,12\r\n1,6.0,0.25,1.0,12\r\n"),  # Euler: one query per step
         ],
         ids=["uniformization", "euler"],
     )
     def test_stats_csv_bytes(self, tmp_path, events, rows):
         partition = TimePartition([0.0, 0.5, 0.75], [4.0, 6.0], T=1.0, delta=0.25, n_bits=3)
-        stats = RunStats(events_per_segment=None if events is None else np.array(events))
+        stats = RunStats(events_per_segment=np.array(events))
         write_stats_csv(tmp_path / "stats.csv", partition, stats, 4, self.HASH)
         header = "segment,beta,dt,events_mean,score_evals\r\n"
         assert (tmp_path / "stats.csv").read_bytes() == (self.HEADER + header + rows).encode()

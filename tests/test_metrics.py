@@ -122,41 +122,75 @@ class TestEmpiricalLaw:
         assert dense.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def normal_cell_mass(spec):
+    """Standard normal mass of every cell of a d = 1 grid."""
+    return np.diff(norm.cdf(-spec.L + spec.l * np.arange(spec.K + 1)))
+
+
+def uniform_cell_mass(spec):
+    """Uniform law on the cube: every cell has mass K^-d."""
+    return np.full(spec.K**spec.d, float(spec.K) ** -spec.d)
+
+
 class TestContinuousHistogram:
     def test_samples_from_density_itself(self, rng):
         spec = QuantizerSpec.from_grid(d=1, L=4.0, K=64)
         x = rng.standard_normal((1_000_000, 1))
-        tv = tv_continuous_histogram(x, lambda p: norm.pdf(p[:, 0]), spec)
+        tv = tv_continuous_histogram(x, normal_cell_mass(spec), spec)
         assert tv <= 0.02
 
     def test_uniform_matched_case(self, rng):
         spec = QuantizerSpec.from_grid(d=1, L=1.0, K=16)
         x = rng.uniform(-1, 1, size=(200_000, 1))
-        tv = tv_continuous_histogram(x, lambda p: np.full(len(p), 0.5), spec)
+        tv = tv_continuous_histogram(x, uniform_cell_mass(spec), spec)
         assert tv <= 0.01
 
     def test_degenerate_point_mass(self):
-        # all mass in one cell: TV = 1 - (analytic mass of that cell)
+        # all mass in one cell: TV = 1 - (mass of that cell)
         spec = QuantizerSpec.from_grid(d=1, L=4.0, K=64)
         x = np.full((1000, 1), 0.07)
         cell = int(np.floor((0.07 + 4.0) / spec.l))
         lo = -4.0 + cell * spec.l
         cell_mass = norm.cdf(lo + spec.l) - norm.cdf(lo)
-        tv = tv_continuous_histogram(x, lambda p: norm.pdf(p[:, 0]), spec)
-        assert tv == pytest.approx(1.0 - cell_mass, abs=1e-9)
+        tv = tv_continuous_histogram(x, normal_cell_mass(spec), spec)
+        assert tv == pytest.approx(1.0 - cell_mass, abs=1e-12)
 
     def test_two_dimensional_uniform(self, rng):
         spec = QuantizerSpec.from_grid(d=2, L=1.0, K=8)
         x = rng.uniform(-1, 1, size=(200_000, 2))
-        tv = tv_continuous_histogram(x, lambda p: np.full(len(p), 0.25), spec)
+        tv = tv_continuous_histogram(x, uniform_cell_mass(spec), spec)
         assert tv <= 0.02
 
-    def test_rejects_high_dimension(self, rng):
+    def test_four_dimensional_uniform(self, rng):
+        # no dimension limit: the masses come in, nothing is integrated
         spec = QuantizerSpec.from_grid(d=4, L=1.0, K=4)
-        with pytest.raises(ValueError):
-            tv_continuous_histogram(np.zeros((5, 4)), lambda p: np.ones(len(p)), spec)
+        x = rng.uniform(-1, 1, size=(200_000, 4))
+        tv = tv_continuous_histogram(x, uniform_cell_mass(spec), spec)
+        assert tv <= 0.02
 
     def test_rejects_empty_samples(self):
         spec = QuantizerSpec.from_grid(d=1, L=1.0, K=4)
         with pytest.raises(ValueError):
-            tv_continuous_histogram(np.empty((0, 1)), lambda p: np.ones(len(p)), spec)
+            tv_continuous_histogram(np.empty((0, 1)), uniform_cell_mass(spec), spec)
+
+    @pytest.mark.parametrize(
+        "mass, match",
+        [
+            (np.full(3, 0.25), "shape"),
+            (np.full((2, 2), 0.25), "shape"),
+            (np.array([0.5, 0.5, 0.25, -0.25]), "nonnegative"),
+            (np.array([0.5, np.nan, 0.0, 0.0]), "nonnegative"),
+            (np.array([0.5, 0.5, 0.0, 1e-9]), "sums to"),
+        ],
+        ids=["short", "not-flat", "negative", "nan", "above-one"],
+    )
+    def test_rejects_bad_cell_mass(self, mass, match):
+        spec = QuantizerSpec.from_grid(d=1, L=1.0, K=4)
+        with pytest.raises(ValueError, match=match):
+            tv_continuous_histogram(np.zeros((5, 1)), mass, spec)
+
+    def test_accepts_a_sum_one_within_rounding(self):
+        spec = QuantizerSpec.from_grid(d=1, L=1.0, K=4)
+        mass = np.array([0.25, 0.25, 0.25, 0.25 + 1e-13])
+        tv = tv_continuous_histogram(np.zeros((4, 1)), mass, spec)
+        assert tv == pytest.approx(0.75, abs=1e-12)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from hyperbin.cli import (
-    load_spec,
-    read_points_csv,
-    read_states_csv,
-    save_spec,
-    write_states_csv,
-)
+from hyperbin.cli import read_points_csv, save_spec, write_states_csv
 from hyperbin.quantizer import (
     QuantizerSpec,
     cell_bounds,
@@ -238,17 +233,26 @@ class TestHistogramAccuracy:
 
 
 class TestSerialization:
+    SPEC_KEYS = {"d", "sigma", "H", "m0", "eps", "L", "l", "K", "config_hash"}
+
     def test_spec_round_trip(self, tmp_path):
         spec = derive_spec(d=2, sigma=1.3, H=0.7, m0=2.0, eps=0.2)
         path = tmp_path / "spec.json"
         save_spec(spec, path, "abc")
-        loaded = load_spec(path)
-        assert loaded == spec
+        payload = json.loads(path.read_text())
+        assert set(payload) == self.SPEC_KEYS and payload["config_hash"] == "abc"
+        assert payload["l"] == spec.l
+        fields = {k: payload[k] for k in ("d", "L", "K", "sigma", "H", "m0", "eps")}
+        assert QuantizerSpec(**fields) == spec
 
     def test_spec_round_trip_direct(self, tmp_path):
+        # a grid given directly has no derivation parameters: they are null
         spec = QuantizerSpec.from_grid(d=1, L=4.0, K=64)
         save_spec(spec, tmp_path / "s.json", "abc")
-        assert load_spec(tmp_path / "s.json") == spec
+        payload = json.loads((tmp_path / "s.json").read_text())
+        assert set(payload) == self.SPEC_KEYS
+        assert [payload[k] for k in ("sigma", "H", "m0", "eps")] == [None] * 4
+        assert (payload["d"], payload["L"], payload["l"], payload["K"]) == (1, 4.0, 0.125, 64)
 
     def test_points_csv(self, tmp_path):
         path = tmp_path / "pts.csv"
@@ -289,5 +293,6 @@ class TestSerialization:
         states = rng.integers(0, 2, size=(5, 6)).astype(np.uint8)
         path = tmp_path / "states.csv"
         write_states_csv(path, states, "abc")
-        assert np.array_equal(read_states_csv(path), states)
-        assert path.read_text().startswith("# config_hash=abc")
+        assert path.read_bytes().startswith(b"# config_hash=abc\nb0,b1,b2,b3,b4,b5\r\n")
+        parsed = np.loadtxt(path, delimiter=",", skiprows=2, dtype=np.uint8, ndmin=2)
+        assert np.array_equal(parsed, states)

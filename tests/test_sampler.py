@@ -566,14 +566,14 @@ class TestEulerSample:
             euler_sample(self.config, self.oracle, 0, 10)
 
     def test_counters_fold_across_chunks(self):
-        # Euler chunks carry no per-segment events, so the fold meets None
+        # every chunk counts its own replicas once per step
         n, n_steps = 250, 8
         with mock.patch.object(sampler, "DEFAULT_CHUNK", 64):  # 4 chunks
             stats = euler_sample(self.config, self.oracle, n_steps, n).stats
             clipped = euler_sample(self.config, FixedRateOracle([50.0] * 4, T=2.5), 1, n).stats
         assert stats.score_evals == n * n_steps * 4
         assert stats.poisson_events == 0
-        assert stats.events_per_segment is None
+        assert stats.events_per_segment.tolist() == [n] * n_steps
         # rates 200 > beta = 8 and h * beta > 1: every row truncates and clips
         assert clipped.truncation_activations == n and clipped.clipped_steps == n
 
