@@ -53,6 +53,17 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _config_int(key: str, value, floor: int) -> int:
+    """An integer config value: a JSON integer or a whole-valued float such
+    as 1e5, at least `floor`. Booleans, strings and fractional or non-finite
+    numbers raise ConfigError naming the key."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < floor:
+        raise ConfigError(f"{key} must be an integer >= {floor}, got {value!r}")
+    return value
+
+
 def load_config(path) -> dict:
     try:
         text = Path(path).read_text()
@@ -72,15 +83,16 @@ def build_quantizer_spec(config: dict) -> QuantizerSpec:
     if not isinstance(q, dict):
         raise ConfigError("config needs a 'quantizer' object")
     try:
+        d = _config_int("d", q["d"], 1)
         if "sigma" in q:
             return derive_spec(
-                d=int(q["d"]),
+                d=d,
                 sigma=float(q["sigma"]),
                 H=float(q["H"]),
                 m0=float(q["m0"]),
                 eps=float(q["eps"]),
             )
-        return QuantizerSpec.from_grid(d=int(q["d"]), L=float(q["L"]), K=int(q["K"]))
+        return QuantizerSpec.from_grid(d=d, L=float(q["L"]), K=_config_int("K", q["K"], 1))
     except KeyError as exc:
         raise ConfigError(f"quantizer config is missing key {exc}") from exc
     except ValueError as exc:
@@ -102,7 +114,7 @@ def load_target_points(config: dict, seed: int) -> np.ndarray:
             weights = np.asarray(gm["weights"], dtype=np.float64)
             means = np.atleast_2d(np.asarray(gm["means"], dtype=np.float64))
             sds = np.asarray(gm["sds"], dtype=np.float64)
-            n_train = int(gm.get("n_train", 100_000))
+            n_train = _config_int("n_train", gm.get("n_train", 100_000), 1)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad gaussian_mixture target: {exc}") from exc
         if means.shape[1] == len(weights) and means.shape[0] == 1:
@@ -246,7 +258,7 @@ def write_heat_kernel_csv(path, kind: str, size: int, times, config_hash: str) -
 
 def cmd_quantize(args) -> int:
     config = load_config(args.config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = args.seed if args.seed is not None else _config_int("seed", config.get("seed", 0), 0)
     chash = config_hash({**config, "seed": seed})
     spec = build_quantizer_spec(config)
     points = load_target_points(config, seed)
@@ -267,7 +279,7 @@ def cmd_sample(args) -> int:
     method = config.get("method", "uniformization")
     if method not in SAMPLE_METHODS:
         raise ConfigError(f"unknown method {method!r}; valid: {', '.join(SAMPLE_METHODS)}")
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = args.seed if args.seed is not None else _config_int("seed", config.get("seed", 0), 0)
     chash = config_hash({**config, "seed": seed})
     spec = build_quantizer_spec(config)
     points = load_target_points(config, seed)
@@ -275,9 +287,9 @@ def cmd_sample(args) -> int:
     initial = EmpiricalInitial.from_dataset(states)
     run_config = build_sampler_config(config, spec, seed)
     oracle = ExactScoreOracle(initial, run_config.T)
-    n_samples = int(config.get("n_samples", 1000))
+    n_samples = _config_int("n_samples", config.get("n_samples", 1000), 0)
     if method == "euler":
-        n_steps = int(config.get("n_steps", 64))
+        n_steps = _config_int("n_steps", config.get("n_steps", 64), 1)
         result = euler_sample(run_config, oracle, n_steps, n_samples)
         partition = euler_steps(run_config, n_steps)
     else:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -349,12 +349,8 @@ def _run_chunks(config, oracle, n_samples, runner, rng_tag):
         chunk_stats = [run_one(i) for i in range(len(bounds))]
     total = chunk_stats[0]
     for st in chunk_stats[1:]:
-        total.score_evals += st.score_evals
-        total.poisson_events += st.poisson_events
-        total.accepted_moves += st.accepted_moves
-        total.truncation_activations += st.truncation_activations
-        total.clipped_steps += st.clipped_steps
-        total.events_per_segment += st.events_per_segment
+        for field in fields(RunStats):
+            setattr(total, field.name, getattr(total, field.name) + getattr(st, field.name))
     return SampleResult(x=x, states=states, stats=total)
 
 

@@ -43,8 +43,8 @@ from .chain import (
 # chunk, and for the shell table.
 _CHUNK_ELEMENTS = 1 << 24
 
-# Elementwise budget for the (batch, D, D + 1) neighbour shells of a table
-# query chunk: each thread's reused workspace, 2 MB of float64.
+# Elementwise budget for the (batch, D + 1, D + 1) shells of a table query
+# chunk: each thread's reused workspace, 2 MB of float64.
 _TABLE_CHUNK_ELEMENTS = 1 << 18
 
 # Uniform slices of [0, T) within which a perturbed oracle's noise is fixed.
@@ -108,25 +108,26 @@ class ExactScoreOracle(ScoreOracle):
     The shell table serves queries when P^2 >= 2^D and (D + 1) 2^D <=
     _CHUNK_ELEMENTS, the support matmul otherwise. Measured ms per
     `ratio_all` call (table/matmul; 2-vCPU Xeon VM, numpy 2.4.6, one BLAS
-    thread, random support, best of 5 runs):
+    thread, random support, best of 5 calls, both columns in the same runs):
 
         D   B     P=8        P=16       P=32       P=64       P=256
-        6   2000  0.34/0.45  0.35/0.59  0.36/1.48  0.34/2.70  -
-        10  520   0.17/0.16  0.17/0.19  0.17/0.26  0.17/0.41  0.16/2.61
-        12  520   0.20/0.16  0.19/0.20  0.20/0.30  0.20/0.45  0.20/2.66
-        16  2000  1.54/0.55  1.53/0.72  1.50/1.12  1.53/1.75  1.56/6.98
+        6   2000  0.38/0.48  0.41/0.63  0.41/0.96  0.43/1.57  -
+        10  520   0.20/0.19  0.18/0.19  0.19/0.29  0.21/0.45  0.26/1.71
+        12  520   0.23/0.18  0.22/0.22  0.26/0.33  0.27/0.50  0.30/1.58
+        16  2000  1.71/0.58  1.87/0.79  2.21/1.36  2.49/2.31  3.51/9.59
 
-    The table costs the same at any P; the matmul grows with P. At D = 6
-    the rule sits at the measured crossover (near P = 8 over repeated
-    runs). Above that it is conservative: the two about tie at D = 10,
-    P = 16, and the table already wins 1.5x at D = 12, P = 32 and 1.1x at
-    D = 16, P = 64. Building the table takes 0.6 ms at D = 10, 1.9 ms at
-    D = 12 and 69 ms at D = 16.
+    The table costs the same at any P (2.22 and 2.24 ms at D = 16, P = 8
+    and 256, alternated in one process; whole runs of this table varied up
+    to 2x on a shared host); the matmul grows with P. At D = 6 and 10 the
+    rule sits near the measured crossover (ties at P = 4 and P = 16).
+    Above that it is conservative: the table wins 1.3x at D = 12, P = 32,
+    and ties at D = 16, P = 64. Building the table takes 0.6 ms at D = 10,
+    3.1 ms at D = 12 and 56 ms at D = 16.
 
-    Table queries run in chunks of 2^18 neighbour shells, read into one
-    workspace per thread (the sampler's threads share an oracle), so no
-    query allocates a (B, D, D + 1) array. At B = 65536 these chunks ran
-    1.1x (D = 6) to 1.5x (D = 12) faster than chunks of 2^24.
+    Table queries gather the shells of the state and its D neighbours
+    into one (B, D + 1, D + 1) workspace per thread (the sampler's threads
+    share an oracle), in chunks of 2^18 shells. At B = 65536 chunks of
+    2^18 ran 1.1x (D = 6) to 1.5x (D = 12) faster than chunks of 2^24.
     """
 
     def __init__(self, initial: EmpiricalInitial, T: float):
@@ -138,13 +139,13 @@ class ExactScoreOracle(ScoreOracle):
         P = len(initial.weights)
         if (1 << D) * (D + 1) <= _CHUNK_ELEMENTS and P * P >= 1 << D:
             self._shells = shell_table(initial)
-            # Query-independent parts of a lookup: the flip masks, and per
-            # state the exponents k - k0 (clamped at -1) of its shells, with
-            # k0 its lowest nonzero shell (see _table_chunk).
-            self._bit_values = 1 << np.arange(D)
+            # Query-independent parts of a lookup: the flip masks (0 first),
+            # and per state the exponents k - k0 (clamped at -1) of its
+            # shells, with k0 its lowest nonzero shell (see _table_chunk).
+            self._flips = np.append(0, 1 << np.arange(D))
             k0 = np.argmax(self._shells > 0, axis=1)
             self._exponents = np.maximum(np.arange(D + 1) - k0[:, None], -1).astype(np.int8)
-            self._chunk_rows = _TABLE_CHUNK_ELEMENTS // (D * (D + 1))
+            self._chunk_rows = _TABLE_CHUNK_ELEMENTS // (D + 1) ** 2
             self._workspace = threading.local()
         else:
             self._shells = None
@@ -173,35 +174,34 @@ class ExactScoreOracle(ScoreOracle):
         out = np.empty((B, D))
         for lo in range(0, B, self._chunk_rows):
             hi = min(B, lo + self._chunk_rows)
-            out[lo:hi] = ratio_chunk(rho[lo:hi], states[lo:hi])
+            ratio_chunk(rho[lo:hi], states[lo:hi], out[lo:hi])
         if not np.isfinite(out).all():
             raise FloatingPointError(
                 "density ratio overflowed for some query; reverse time too close to T"
             )
         return out
 
-    def _table_chunk(self, rho, states) -> np.ndarray:
+    def _table_chunk(self, rho, states, out) -> None:
         # q(y) is proportional to sum_k C[y, k] rho^k. Dividing by rho^k0,
         # with k0 the lowest nonzero shell of y, keeps every power in
         # [rho^-1, 1]: a neighbour's nonzero shells start at k0 - 1 or
         # later, so exponents below -1 only ever multiply zeros.
-        y = states @ self._bit_values
-        own = self._shells[y]  # (B, D+1)
+        y = states @ self._flips[1:]
         powers = rho[:, None] ** self._exponents[y]
-        den = np.einsum("bk,bk->b", own, powers)
-        # A fresh neighbour array per query faults its pages in again once
-        # glibc has returned them. Indices are always in range, and
-        # mode="clip" writes into `out` directly where "raise" buffers.
-        workspace = getattr(self._workspace, "neighbours", None)
+        # The state is flip 0 of its own lookup. A fresh shell array per
+        # query faults its pages in again once glibc has returned them.
+        # Indices are always in range, and mode="clip" writes into the
+        # workspace directly where "raise" buffers.
+        workspace = getattr(self._workspace, "shells", None)
         if workspace is None:
             D = self.n_bits
-            workspace = self._workspace.neighbours = np.empty((self._chunk_rows, D, D + 1))
-        neighbours = workspace[: len(y)]
-        np.take(self._shells, y[:, None] ^ self._bit_values, axis=0, out=neighbours, mode="clip")
-        num = np.einsum("bik,bk->bi", neighbours, powers)
-        return num / den[:, None]
+            workspace = self._workspace.shells = np.empty((self._chunk_rows, D + 1, D + 1))
+        shells = workspace[: len(y)]
+        np.take(self._shells, y[:, None] ^ self._flips, axis=0, out=shells, mode="clip")
+        q = np.einsum("bik,bk->bi", shells, powers)  # q[:, 0] is the state's own mass
+        np.divide(q[:, 1:], q[:, :1], out=out)
 
-    def _matmul_chunk(self, rho, states) -> np.ndarray:
+    def _matmul_chunk(self, rho, states, out) -> None:
         # Mixture terms per support point, w_p rho^h with the Hamming
         # exponent shifted by its row minimum: the shift cancels between
         # numerator and denominator, so nothing here can underflow to 0/0.
@@ -218,14 +218,13 @@ class ExactScoreOracle(ScoreOracle):
         # numbers, and rounding 1/rho - rho costs at most an ulp of 1/rho,
         # which is within a few ulp of the result.
         set_bits = states.astype(np.float64)
-        out = terms @ self._zeros  # disagreeing mass at set bits
+        np.matmul(terms, self._zeros, out=out)  # disagreeing mass at set bits
         out *= set_bits
         clear = terms @ self._ones  # disagreeing mass at clear bits
         clear *= 1.0 - set_bits
         out += clear
         out *= ((1.0 / rho - rho) / terms.sum(axis=1))[:, None]
         out += rho[:, None]
-        return out
 
 
 class PerturbedScoreOracle(ScoreOracle):

@@ -61,6 +61,27 @@ def sample_config(tmp_path, points_csv):
     )
 
 
+def integer_keys_config():
+    """A small Euler run from a Gaussian mixture, which reads every integer
+    config key: d, K, n_train, n_samples, n_steps and seed."""
+    mixture = {"weights": [1.0], "means": [0.0], "sds": [1.0], "n_train": 200}
+    return {
+        "target": {"gaussian_mixture": mixture},
+        "quantizer": {"d": 1, "L": 4.0, "K": 8},
+        "method": "euler",
+        "n_samples": 20,
+        "n_steps": 4,
+        "seed": 1,
+    }
+
+
+def section_of(config, key):
+    """The object of `config` that holds `key`."""
+    if key in ("d", "K"):
+        return config["quantizer"]
+    return config["target"]["gaussian_mixture"] if key == "n_train" else config
+
+
 class TestQuantizeCommand:
     def test_row_cardinality(self, tmp_path, quantize_config):
         out = tmp_path / "out"
@@ -225,6 +246,47 @@ class TestSampleCommand:
         out = tmp_path / "gm_out"
         assert main(["sample", "--config", config, "--out", str(out)]) == 0
         assert (out / "samples.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("d", 1.9),
+            ("d", True),
+            ("d", 0),
+            ("K", 64.5),
+            ("K", "8"),
+            ("n_train", 1000.7),
+            ("n_train", 0),
+            ("n_samples", 10.9),
+            ("n_samples", -1),
+            ("n_samples", math.inf),
+            ("n_steps", True),
+            ("n_steps", 0),
+            ("seed", 2.5),
+            ("seed", -1),
+            ("seed", math.nan),
+        ],
+    )
+    def test_integer_keys_reject_other_values(self, tmp_path, capsys, key, value):
+        # a cast would run 1.9 as d = 1, 10.9 as 10 samples and true as 1 step
+        config = integer_keys_config()
+        section_of(config, key)[key] = value
+        path = write_config(tmp_path / "c.json", config)
+        assert main(["sample", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
+    def test_whole_valued_floats_read_as_integers(self, tmp_path):
+        outputs = []
+        for cast in (int, float):
+            config = integer_keys_config()
+            for key in ("d", "K", "n_train", "n_samples", "n_steps", "seed"):
+                section_of(config, key)[key] = cast(section_of(config, key)[key])
+            path = write_config(tmp_path / f"{cast.__name__}.json", config)
+            out = tmp_path / cast.__name__
+            assert main(["sample", "--config", path, "--out", str(out)]) == 0
+            # below the provenance line, which hashes the config as written
+            outputs.append((out / "samples.csv").read_text().split("\n", 1)[1])
+        assert outputs[0] == outputs[1]
 
     def test_eighty_bit_states_reach_the_output(self, tmp_path):
         # d=8, K=1024: D = 80 bits, past the int64 range of a state index

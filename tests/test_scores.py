@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_initial
+from hyperbin import scores
 from hyperbin.bits import all_states, index_to_state, splitmix64, state_key
 from hyperbin.chain import EmpiricalInitial, marginal_at
 from hyperbin.scores import (
@@ -196,8 +197,23 @@ class TestExactOracle:
             with pytest.raises(ValueError):
                 oracle.ratio_all(0.5, np.full((1, 3), 3, np.uint8))
 
+    @pytest.mark.parametrize("D, P", [(10, 5), (24, 6)])
+    def test_matmul_queries_span_chunks(self, rng, monkeypatch, D, P):
+        # each chunk writes its own rows of the result; BLAS blocking may
+        # move the last bits with the chunk's row count
+        initial = distinct_support(rng, D, P)
+        whole = ExactScoreOracle(initial, T=2.0)
+        monkeypatch.setattr(scores, "_CHUNK_ELEMENTS", 10 * P)
+        chunked = ExactScoreOracle(initial, T=2.0)  # 10 rows per chunk
+        assert not chunked.uses_shell_table
+        states = rng.integers(0, 2, (37, D), dtype=np.uint8)
+        t = rng.uniform(0.0, 2.0, 37)
+        got = chunked.ratio_all(t, states)
+        assert np.isfinite(got).all() and (got > 0).all()
+        assert np.abs(got / whole.ratio_all(t, states) - 1.0).max() <= 1e-13
+
     def test_table_queries_reuse_a_workspace_per_thread(self, rng):
-        # D = 12: 2^18 / (12 * 13) = 1680 rows per chunk
+        # D = 12: 2^18 / 13^2 = 1551 rows per chunk
         oracle = ExactScoreOracle(random_initial(rng, 12, 300), T=1.0)
         assert oracle.uses_shell_table
         states = rng.integers(0, 2, (4000, 12), dtype=np.uint8)
