@@ -3,9 +3,9 @@
 Every Hamming-1 neighbor is reachable at rate 1 and the generator diagonal
 is -D, so the transition kernel factorizes over bits: over an interval of
 length dt each bit flips independently with probability (1 - e^(-2 dt))/2.
-Dense helpers (rate matrix, marginals, KL) follow the column convention
-R[y, y'] = rate from y' to y and the little-endian state/index map from
-:mod:`hyperbin.bits`.
+Dense helpers follow the little-endian state/index map from
+:mod:`hyperbin.bits`; dense generators, all built by :func:`flip_generator`,
+follow the column convention R[y, y'] = rate from y' to y.
 """
 
 from __future__ import annotations
@@ -158,23 +158,25 @@ def dense_ratios(probs: np.ndarray) -> np.ndarray:
     return probs[flips] / probs[:, None]
 
 
-def dense_rate_matrix(D: int) -> np.ndarray:
-    """Generator as a dense matrix: entry (y, y') is 1 when Ham(y, y') = 1,
-    -D on the diagonal; columns sum to zero."""
+def flip_generator(rates: np.ndarray) -> np.ndarray:
+    """Dense generator of the chain that flips bit i of state y at rate
+    rates[y, i], for rates of shape (2^D, D): G[y ^ 2^i, y] = rates[y, i]
+    and each column sums to zero (D <= MAX_RATE_MATRIX_BITS)."""
+    rates = np.asarray(rates, dtype=np.float64)
+    n, D = rates.shape
     if D > MAX_RATE_MATRIX_BITS:
         raise ValueError(f"dense rate matrix needs D <= {MAX_RATE_MATRIX_BITS}, got {D}")
-    n = 1 << D
-    R = np.zeros((n, n))
+    if n != 1 << D:
+        raise ValueError(f"need one row of rates per state, 2^{D} rows, got {n}")
+    G = np.zeros((n, n))
     idx = np.arange(n)
-    for j in range(D):
-        R[idx ^ (1 << j), idx] = 1.0
-    R[idx, idx] = -float(D)
-    return R
+    for i in range(D):
+        G[idx ^ (1 << i), idx] = rates[:, i]
+    G[idx, idx] = -rates.sum(axis=1)
+    return G
 
 
-def kl_to_uniform(probs: np.ndarray) -> float:
-    """KL(p || uniform) in nats, with 0 ln 0 = 0."""
-    probs = check_distribution(probs)
-    nz = probs > 0
-    p = probs[nz]
-    return float(np.sum(p * np.log(p * probs.shape[0])))
+def dense_rate_matrix(D: int) -> np.ndarray:
+    """The forward chain's generator: entry (y, y') is 1 when
+    Ham(y, y') = 1, -D on the diagonal."""
+    return flip_generator(np.broadcast_to(1.0, (1 << D, D)))

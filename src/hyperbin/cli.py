@@ -64,6 +64,28 @@ def _config_int(key: str, value, floor: int) -> int:
     return value
 
 
+def _config_float(key: str, value) -> float:
+    """A real config value: a finite JSON number. Booleans, strings and
+    non-finite numbers raise ConfigError naming the key."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        number = float(value) if abs(value) < 2**1024 else math.inf  # huge ints do not convert
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
+
+
+def _seed_option(text: str) -> int:
+    """argparse type of `--seed`: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def load_config(path) -> dict:
     try:
         text = Path(path).read_text()
@@ -87,12 +109,14 @@ def build_quantizer_spec(config: dict) -> QuantizerSpec:
         if "sigma" in q:
             return derive_spec(
                 d=d,
-                sigma=float(q["sigma"]),
-                H=float(q["H"]),
-                m0=float(q["m0"]),
-                eps=float(q["eps"]),
+                sigma=_config_float("sigma", q["sigma"]),
+                H=_config_float("H", q["H"]),
+                m0=_config_float("m0", q["m0"]),
+                eps=_config_float("eps", q["eps"]),
             )
-        return QuantizerSpec.from_grid(d=d, L=float(q["L"]), K=_config_int("K", q["K"], 1))
+        return QuantizerSpec.from_grid(
+            d=d, L=_config_float("L", q["L"]), K=_config_int("K", q["K"], 1)
+        )
     except KeyError as exc:
         raise ConfigError(f"quantizer config is missing key {exc}") from exc
     except ValueError as exc:
@@ -130,13 +154,15 @@ def load_target_points(config: dict, seed: int) -> np.ndarray:
 
 
 def build_sampler_config(config: dict, spec: QuantizerSpec, seed: int) -> SamplerConfig:
-    s = dict(config.get("sampler") or {})
-    base = SamplerConfig.default_schedule(spec, float(s.get("eps", 0.1)), seed)
+    s = config.get("sampler", {})
+    if not isinstance(s, dict):
+        raise ConfigError("'sampler' must be a JSON object")
     try:
+        base = SamplerConfig.default_schedule(spec, _config_float("eps", s.get("eps", 0.1)), seed)
         return SamplerConfig(
             spec=spec,
-            T=float(s.get("T", base.T)),
-            delta=float(s.get("delta", base.delta)),
+            T=_config_float("T", s.get("T", base.T)),
+            delta=_config_float("delta", s.get("delta", base.delta)),
             seed=seed,
             init=s.get("init", "uniform"),
             beta_mode=s.get("beta_mode", "standard"),
@@ -361,24 +387,21 @@ def main(argv=None) -> int:
         description="Quantize data onto a binary hypercube and sample back from it.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_seed_option, default=None)
+    seeded.add_argument("--out", default=None, help="output directory")
 
-    p_quant = sub.add_parser("quantize", help="quantize a CSV point set")
+    p_quant = sub.add_parser("quantize", parents=[seeded], help="quantize a CSV point set")
     p_quant.add_argument("--config", required=True, help="experiment config (JSON)")
-    p_quant.add_argument("--seed", type=int, default=None)
-    p_quant.add_argument("--out", default=None, help="output directory")
     p_quant.set_defaults(func=cmd_quantize)
 
-    p_sample = sub.add_parser("sample", help="run the reverse-time sampler")
+    p_sample = sub.add_parser("sample", parents=[seeded], help="run the reverse-time sampler")
     p_sample.add_argument("--config", required=True)
-    p_sample.add_argument("--seed", type=int, default=None)
-    p_sample.add_argument("--out", default=None)
     p_sample.add_argument("--method", choices=SAMPLE_METHODS, default=None)
     p_sample.set_defaults(func=cmd_sample)
 
-    p_verify = sub.add_parser("verify", help="run a named verification suite")
+    p_verify = sub.add_parser("verify", parents=[seeded], help="run a named verification suite")
     p_verify.add_argument("--suite", required=True)
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_adj = sub.add_parser("adjacency-report", help="structure and heat-kernel tables")

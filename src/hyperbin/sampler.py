@@ -102,18 +102,25 @@ def build_partition(
 ) -> TimePartition:
     """Geometric refinement toward the horizon: t_{w+1} = (T + 2 t_w)/3,
     i.e. the remaining gap shrinks by 2/3 per segment, halted at T - delta."""
-    if not 0 < delta < T:
-        raise ValueError(f"need 0 < delta < T, got delta={delta}, T={T}")
+    _check_gap(T, delta)
     times = [0.0]
     while True:
         nxt = (T + 2.0 * times[-1]) / 3.0
-        if nxt >= T - delta:
+        # within a few ulps of T the rounded recurrence can stop advancing
+        if nxt >= T - delta or nxt <= times[-1]:
             break
         times.append(nxt)
     times.append(T - delta)
     times = np.asarray(times)
     betas = beta_value(D, T, times[1:], beta_mode)
     return TimePartition(times=times, betas=betas, T=float(T), delta=float(delta), n_bits=D)
+
+
+def _check_gap(T: float, delta: float) -> None:
+    """Reject a stopping gap outside (0, T), or one too small to move
+    T - delta below T in float64, where the refinement would never end."""
+    if not (0 < delta < T and T - delta < T):
+        raise ValueError(f"need 0 < delta < T and T - delta < T, got delta={delta!r}, T={T!r}")
 
 
 def euler_steps(config: SamplerConfig, n_steps: int) -> TimePartition:
@@ -139,8 +146,7 @@ class SamplerConfig:
     beta_mode: str = "standard"
 
     def __post_init__(self):
-        if not 0 < self.delta < self.T:
-            raise ValueError("need 0 < delta < T")
+        _check_gap(self.T, self.delta)
         if self.init not in ("uniform", "exact-terminal"):
             raise ValueError(f"unknown init {self.init!r}")
         if self.beta_mode not in BETA_MODES:

@@ -6,7 +6,9 @@ whose detail text gives each measured value next to its threshold. At
 fixed seeds; at `"quick"` scale `hyperbin verify --suite NAME` runs
 desk-scale sizes with `--seed`. `SCALES` holds the sizes and n-dependent
 slacks of both; thresholds that do not depend on n are named once in
-their check. `SUITES` maps each CLI suite name to its check.
+their check. c04, c10 and c11 run one size at both scales; c10 samples
+nothing, so its row is the same at every seed. `SUITES` maps each CLI
+suite name to its check.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.stats import norm
+from scipy.stats import binom, norm
 
 from .adjacency import graph_report, mixing_time
 from .bits import all_states, hamming_to_rows, state_to_index
@@ -24,8 +26,8 @@ from .chain import (
     EmpiricalInitial,
     dense_rate_matrix,
     dense_ratios,
+    flip_generator,
     flip_probability,
-    kl_to_uniform,
     marginal_at,
 )
 from .metrics import EmpiricalLaw, kl_exact, tv_continuous_histogram, tv_exact, tv_plugin
@@ -34,14 +36,13 @@ from .sampler import (
     SamplerConfig,
     beta_value,
     build_partition,
-    euler_sample,
     exact_reverse_marginal,
     sample,
 )
-from .scores import ExactScoreOracle, calibrate_noise_scale, score_entropy_loss
+from .scores import ExactScoreOracle, ScoreOracle, calibrate_noise_scale, score_entropy_loss
 
 # Per check, the sizes of each scale and the slacks that widen with fewer
-# samples. Checks not listed (c04, c11) are cheap and run one size.
+# samples. Checks not listed (c04, c10, c11) run one size.
 SCALES = {
     "c01": {"full": dict(max_D=8), "quick": dict(max_D=6)},
     "c02": {"full": dict(initials=100, max_D=10), "quick": dict(initials=20, max_D=8)},
@@ -60,13 +61,12 @@ SCALES = {
     # TV slack on top of the 5 eps bound: histogram estimation error
     "c08": {"full": dict(n=200_000, slack=0.03), "quick": dict(n=20_000, slack=0.06)},
     "c09": {"full": dict(n=2000), "quick": dict(n=500)},
-    # Euler matches uniformization once its TV is within the margin below
-    # uniformization's; the margin covers the plug-in noise of both runs
-    "c10": {
-        "full": dict(n=100_000, ladder=(32, 64, 128, 256, 512, 1024), margin=0.0),
-        "quick": dict(n=10_000, ladder=(32, 64, 128, 256, 512), margin=0.015),
-    },
 }
+
+# c10: the Euler step counts tried, and the number of exact draws whose
+# mean plug-in TV an Euler law must reach to match uniformization.
+EULER_LADDER = (32, 64, 128, 256, 512, 1024)
+MATCH_DRAWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,8 @@ def check_c02(scale: str, seed: int) -> list[CheckRow]:
         D = int(rng.integers(2, size["max_D"] + 1))
         initial = random_initial(rng, D, int(rng.integers(1, 9)))
         for t in (0.5, 1.0, 2.0, 4.0):
-            worst = max(worst, kl_to_uniform(marginal_at(initial, t)) / (math.exp(-t) * D))
+            kl = kl_exact(marginal_at(initial, t), np.full(1 << D, 2.0**-D))
+            worst = max(worst, kl / (math.exp(-t) * D))
     detail = (
         f"forward KL decay envelope: max KL/(e^-t D) = {worst:.4f} over {size['initials']} "
         f"initials, D<={size['max_D']} (must be <= 1, no slack)"
@@ -328,41 +329,65 @@ def check_c09(scale: str, seed: int) -> list[CheckRow]:
     return [CheckRow("complexity_slope", passed, slope, n * len(dims), detail)]
 
 
+def cap_totals(rates: np.ndarray, cap) -> np.ndarray:
+    """Per-flip rates (B, D) with each row whose total exceeds `cap`
+    scaled down to total `cap`."""
+    total = rates.sum(axis=1, keepdims=True)
+    return rates * np.divide(cap, total, out=np.ones_like(total), where=total > cap)
+
+
+def euler_law(oracle: ScoreOracle, config: SamplerConfig, n_steps: int) -> np.ndarray:
+    """Exact law of the Euler baseline after n_steps equal steps of length
+    h over [0, T - delta], from the config's initial law (D <= 12). Step k
+    caps every state's rates at beta(t_k), t_k = k h, scales them by h,
+    caps their total at 1, and applies the kernel I + G of those flip
+    probabilities. It shares no code with `sampler.euler_sample`, so it is
+    an independent reference for it."""
+    D, h = config.n_bits, (config.T - config.delta) / n_steps
+    uniform = config.init == "uniform"
+    law = np.full(1 << D, 2.0**-D) if uniform else marginal_at(oracle.initial, config.T)
+    for k in range(n_steps):
+        rates = oracle.ratio_all(k * h, all_states(D))
+        rates = cap_totals(rates, beta_value(D, config.T, k * h, config.beta_mode))
+        law = law + flip_generator(cap_totals(h * rates, 1.0)) @ law
+    return law
+
+
+def expected_plugin_tv(probs: np.ndarray, n: int) -> float:
+    """Mean plug-in TV of n exact draws from the dense law `probs`: half
+    the sum of E|X/n - p| over states, X ~ Binomial(n, p), each in de
+    Moivre's closed form 2 nu (1 - p) pmf(nu; n, p) / n, nu = floor(n p) + 1."""
+    nu = np.floor(n * probs) + 1
+    return float(np.sum(nu * binom.pmf(nu, n, probs) * (1.0 - probs)) / n)
+
+
 def check_c10(scale: str, seed: int) -> list[CheckRow]:
     """The fixed-step (Euler) baseline needs several times the score
-    evaluations of uniformization to reach its plug-in TV."""
-    size = SCALES["c10"][scale]
-    n = size["n"]
+    evaluations of uniformization to come as close to the target as
+    MATCH_DRAWS exact draws do on average. Every number is exact, so the
+    row is the same at both scales and at every `seed`."""
     initial, config = d6_instance(seed)
     oracle = ExactScoreOracle(initial, config.T)
     target = exact_reverse_marginal(initial, config.T, config.T - config.delta)
-
-    uni = sample(config, oracle, n)
-    tv_uni = tv_plugin(EmpiricalLaw.from_indices(state_to_index(uni.states)), target)
-    events_per_rep = uni.stats.poisson_events / n
-    match_tv = tv_uni - size["margin"]
-
-    tvs, matched = {}, False
-    for needed in size["ladder"]:
-        res = euler_sample(config, oracle, needed, n)
-        tvs[needed] = tv_plugin(EmpiricalLaw.from_indices(state_to_index(res.states)), target)
-        matched = tvs[needed] <= match_tv
-        if matched:
-            break
+    events = config.partition().expected_events()
+    floor = expected_plugin_tv(target, MATCH_DRAWS)
+    tvs = {steps: tv_exact(euler_law(oracle, config, steps), target) for steps in EULER_LADDER}
+    matched = [steps for steps, tv in tvs.items() if tv <= floor]
     # with no match on the ladder the fixed-step method needs more steps
     # than its deepest entry, so the ratio at that entry is a lower bound
-    ratio, min_ratio = needed / events_per_rep, 4.0
+    needed = matched[0] if matched else EULER_LADDER[-1]
+    ratio, min_ratio = needed / events, 4.0
     if matched:
         outcome = f"match at {needed} steps -> evaluation ratio {ratio:.1f}"
     else:
         outcome = f"no match up to {needed} steps -> evaluation ratio >= {ratio:.1f}"
     detail = (
-        f"fixed-step baseline pays >= {min_ratio:g}x the evaluations: uniformization TV "
-        f"{tv_uni:.4f} at {events_per_rep:.0f} events/replica, matched at TV <= {match_tv:.4f}; "
-        f"fixed-step TVs {dict((k, round(v, 4)) for k, v in tvs.items())}, {outcome} "
-        f"(>= {min_ratio:g} required)"
+        f"fixed-step baseline pays >= {min_ratio:g}x the evaluations: uniformization "
+        f"{events:.2f} expected events/replica; exact fixed-step TVs "
+        f"{dict((k, round(v, 4)) for k, v in tvs.items())} against the mean plug-in TV "
+        f"{floor:.4f} of {_e(MATCH_DRAWS)} exact draws, {outcome} (>= {min_ratio:g} required)"
     )
-    return [CheckRow("euler_evaluation_ratio", ratio >= min_ratio, ratio, n, detail)]
+    return [CheckRow("euler_evaluation_ratio", ratio >= min_ratio, ratio, MATCH_DRAWS, detail)]
 
 
 def check_c11(scale: str, seed: int) -> list[CheckRow]:

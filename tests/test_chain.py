@@ -11,11 +11,12 @@ from hyperbin.bits import all_states, hamming_to_rows, index_to_state, state_to_
 from hyperbin.chain import (
     EmpiricalInitial,
     dense_rate_matrix,
+    flip_generator,
     flip_probability,
-    kl_to_uniform,
     marginal_at,
     sample_forward,
 )
+from hyperbin.metrics import kl_exact
 
 # interval with per-bit flip probability exactly 1/4
 DT_QUARTER = 0.5 * math.log(2.0)
@@ -180,20 +181,22 @@ class TestRateMatrix:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             dense_rate_matrix(13)
+        with pytest.raises(ValueError):  # one row of rates per state
+            flip_generator(np.ones((8, 2)))
 
 
 class TestKL:
     def test_uniform_is_zero(self):
-        assert kl_to_uniform(np.full(2**5, 2.0**-5)) == pytest.approx(0.0, abs=1e-12)
+        assert kl_exact(np.full(32, 2.0**-5), np.full(32, 2.0**-5)) == pytest.approx(0.0, abs=1e-12)
 
     def test_point_mass(self):
-        assert kl_to_uniform(np.eye(16)[3]) == pytest.approx(math.log(16), rel=1e-12)
+        assert kl_exact(np.eye(16)[3], np.full(16, 1 / 16)) == pytest.approx(math.log(16), 1e-12)
 
     def test_evolved_point_mass_reference(self):
         # per-bit closed form at t = 1, D = 4; frozen from the formula
         # 4 [p ln 2p + (1-p) ln 2(1-p)] with p = (1 + e^-2)/2
         initial = EmpiricalInitial(states=np.zeros((1, 4), np.uint8), weights=np.array([1.0]))
-        kl = kl_to_uniform(marginal_at(initial, 1.0))
+        kl = kl_exact(marginal_at(initial, 1.0), np.full(16, 2.0**-4))
         assert kl == pytest.approx(0.03674392601274268, rel=1e-10)
         assert kl <= math.exp(-1.0) * 4
 
@@ -202,8 +205,9 @@ class TestKL:
         for _ in range(20):
             D = int(rng.integers(2, 7))
             initial = random_initial(rng, D, int(rng.integers(1, 8)))
+            uniform = np.full(1 << D, 2.0**-D)
             for t in (0.5, 1.0, 2.0, 4.0):
-                assert kl_to_uniform(marginal_at(initial, t)) <= math.exp(-t) * D
+                assert kl_exact(marginal_at(initial, t), uniform) <= math.exp(-t) * D
 
 
 class TestEmpiricalInitial:

@@ -75,6 +75,10 @@ def integer_keys_config():
     }
 
 
+# quantizer keys that derive the grid in place of L and K
+DERIVED_GRID = {"sigma": 1.0, "H": 1.0, "m0": 1.0, "eps": 0.2}
+
+
 def section_of(config, key):
     """The object of `config` that holds `key`."""
     if key in ("d", "K"):
@@ -275,6 +279,39 @@ class TestSampleCommand:
         assert main(["sample", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert f"{key} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, entries, args, message",
+        [
+            ("quantizer", {"L": True}, [], "L must be a finite number, got True"),
+            ("quantizer", {"L": "4"}, [], "L must be a finite number, got '4'"),
+            ("quantizer", {**DERIVED_GRID, "sigma": True}, [], "sigma must be a finite number"),
+            ("quantizer", {**DERIVED_GRID, "H": math.inf}, [], "H must be a finite number"),
+            ("quantizer", {**DERIVED_GRID, "m0": "1"}, [], "m0 must be a finite number"),
+            ("quantizer", {**DERIVED_GRID, "eps": False}, [], "eps must be a finite number"),
+            ("sampler", {"eps": "abc"}, [], "eps must be a finite number, got 'abc'"),
+            ("sampler", {"T": True}, [], "T must be a finite number, got True"),
+            ("sampler", {"T": "3"}, [], "T must be a finite number, got '3'"),
+            ("sampler", {"delta": math.nan}, [], "delta must be a finite number, got nan"),
+            ("sampler", {"delta": 1e-320}, [], "T - delta < T, got delta=1e-320"),
+            ("sampler", [], [], "'sampler' must be a JSON object"),
+            (None, None, ["--seed", "-1"], "argument --seed: must be a non-negative integer"),
+        ],
+    )
+    def test_probes_exit_2_naming_the_key(self, tmp_path, capsys, section, entries, args, message):
+        # float() would run true as 1.0 and "3" as 3.0, and delta = 1e-320
+        # would refine the partition forever
+        config = integer_keys_config()
+        if isinstance(entries, dict):
+            config[section] = {**config.get(section, {}), **entries}
+        elif section:
+            config[section] = entries
+        path = write_config(tmp_path / "c.json", config)
+        try:
+            code = main(["sample", "--config", path, "--out", str(tmp_path / "o"), *args])
+        except SystemExit as exc:  # argparse rejects an option value
+            code = exc.code
+        assert code == 2 and message in capsys.readouterr().err
+
     def test_whole_valued_floats_read_as_integers(self, tmp_path):
         outputs = []
         for cast in (int, float):
@@ -354,12 +391,19 @@ class TestVerifyCommand:
         assert "FAIL kernel/always_fails" in capsys.readouterr().out
 
     def test_euler_ladder_without_match_reports_a_lower_bound(self, capsys, monkeypatch):
-        # a negative match TV leaves every ladder step unmatched
-        short = dict(n=2000, ladder=(32,), margin=1.0)
-        monkeypatch.setitem(verify_suites.SCALES["c10"], "quick", short)
+        # 32 Euler steps stay far above the match floor
+        monkeypatch.setattr(verify_suites, "EULER_LADDER", (32,))
         assert main(["verify", "--suite", "euler-baseline"]) == 3
         out = capsys.readouterr().out
-        assert "no match up to 32 steps -> evaluation ratio >= " in out
+        assert "no match up to 32 steps -> evaluation ratio >= 0.3 " in out
+
+    def test_euler_baseline_row_is_exact(self):
+        # nothing is sampled: one row at both scales and every seed
+        [row] = verify_suites.check_c10("full", 1010)
+        assert row.passed and "match at 512 steps -> evaluation ratio 5.2 " in row.detail
+        assert "97.72 expected events" in row.detail and "TV 0.0058 of 1e5" in row.detail
+        for seed in range(10):
+            assert verify_suites.check_c10("quick", seed) == [row]
 
     def test_partition_event_count_follows_seed(self, capsys):
         means = []

@@ -12,7 +12,7 @@ from scipy.stats import chi2, chisquare, kstest, norm, poisson
 from conftest import random_initial
 from hyperbin import sampler
 from hyperbin.bits import all_states, state_to_index
-from hyperbin.chain import EmpiricalInitial, marginal_at
+from hyperbin.chain import EmpiricalInitial, flip_generator, marginal_at
 from hyperbin.cli import write_samples_csv, write_stats_csv
 from hyperbin.metrics import EmpiricalLaw, tv_exact, tv_plugin
 from hyperbin.quantizer import QuantizerSpec
@@ -27,6 +27,7 @@ from hyperbin.sampler import (
     sample,
 )
 from hyperbin.scores import ExactScoreOracle, ScoreOracle
+from hyperbin.verify import cap_totals, euler_law
 
 
 class FixedRateOracle(ScoreOracle):
@@ -62,22 +63,10 @@ def uniform_support_oracle(D, T):
     return ExactScoreOracle(initial, T)
 
 
-def reverse_generator(oracle, t, truncate_at=None):
-    """Dense reverse generator at reverse time t from oracle ratios
-    (columns indexed by the source state; column sums zero)."""
-    D = oracle.n_bits
-    n = 1 << D
-    rates = oracle.ratio_all(t, all_states(D))  # (n, D), row = from-state
-    if truncate_at is not None:
-        total = rates.sum(axis=1)
-        over = total > truncate_at
-        rates[over] *= (truncate_at / total[over])[:, None]
-    M = np.zeros((n, n))
-    idx = np.arange(n)
-    for i in range(D):
-        M[idx ^ (1 << i), idx] += rates[:, i]
-    M[idx, idx] -= rates.sum(axis=1)
-    return M
+def reverse_generator(oracle, t, truncate_at=math.inf):
+    """Dense reverse generator at reverse time t from oracle ratios, each
+    state's total rate capped at `truncate_at`."""
+    return flip_generator(cap_totals(oracle.ratio_all(t, all_states(oracle.n_bits)), truncate_at))
 
 
 class TestBuildPartition:
@@ -131,6 +120,40 @@ class TestBuildPartition:
             build_partition(D=2, T=1.0, delta=1.0)
         with pytest.raises(ValueError):
             build_partition(D=2, T=1.0, delta=0.0)
+
+    @pytest.mark.parametrize("delta", [2e-16, 1e-16, 1e-17, 1e-300, 1e-320])
+    def test_rejects_a_gap_below_the_spacing_at_T(self, delta):
+        # T - delta rounds to T, so the refinement would never reach it
+        spec = QuantizerSpec.from_grid(d=1, L=1.0, K=64)
+        with pytest.raises(ValueError, match="T - delta < T"):
+            build_partition(D=6, T=2.9957, delta=delta)
+        with pytest.raises(ValueError, match="T - delta < T"):
+            SamplerConfig(spec=spec, T=2.9957, delta=delta, seed=0)
+
+    @pytest.mark.parametrize("T, ulps", [(3.0, 0.75), (3.0, 2.0), (4.0, 0.5), (4.0, 1.0)])
+    def test_gaps_of_a_few_ulps_end(self, T, ulps):
+        # T + 2t rounds on the coarser grid of 3T, so here the recurrence
+        # stops advancing below T - delta; the last segment then ends there
+        delta = ulps * math.ulp(T)
+        part = build_partition(D=2, T=T, delta=delta)
+        assert part.times[-1] == T - delta < T
+        assert part.n_segments <= math.ceil(math.log(T / delta) / math.log(1.5)) + 2
+
+    @given(
+        T=st.floats(0.0, 10.0, exclude_min=True),
+        log_delta=st.floats(math.log(1e-320), math.log(10.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_gap_ends_or_raises(self, T, log_delta):
+        # the remaining gap shrinks by 2/3 per segment, so a gap that the
+        # partition accepts ends it within ln(T/delta)/ln(3/2) + 2 segments
+        delta = math.exp(log_delta)
+        try:
+            part = build_partition(D=3, T=T, delta=delta)
+        except ValueError:
+            assert not (0 < delta < T and T - delta < T)
+            return
+        assert part.n_segments <= math.ceil(math.log(T / delta) / math.log(1.5)) + 2
 
     def test_tight_mode_dominates_true_rate_but_stays_below_standard(self):
         part_std = build_partition(D=4, T=2.0, delta=0.1)
@@ -493,32 +516,6 @@ class TestExactReverseMarginal:
             exact_reverse_marginal(initial, 1.0, 1.5)
 
 
-def euler_exact_law(oracle, config, n_steps):
-    """Independent oracle: propagate the dense per-step Euler kernel."""
-    D = oracle.n_bits
-    n = 1 << D
-    h = (config.T - config.delta) / n_steps
-    q = np.full(n, 1.0 / n)
-    idx = np.arange(n)
-    for k in range(n_steps):
-        t = k * h
-        beta = beta_value(D, config.T, t, config.beta_mode)
-        rates = oracle.ratio_all(t, all_states(D))
-        total = rates.sum(axis=1)
-        over = total > beta
-        rates[over] *= (beta / total[over])[:, None]
-        probs = h * rates
-        ptot = probs.sum(axis=1)
-        clip = ptot > 1.0
-        probs[clip] /= ptot[clip][:, None]
-        K = np.zeros((n, n))
-        for i in range(D):
-            K[idx ^ (1 << i), idx] += probs[:, i]
-        K[idx, idx] += 1.0 - probs.sum(axis=1)
-        q = K @ q
-    return q
-
-
 class TestEulerSample:
     def setup_method(self):
         self.spec = QuantizerSpec.from_grid(d=1, L=1.0, K=16)
@@ -537,7 +534,7 @@ class TestEulerSample:
         # deterministic check on the exact propagated law, no sampling noise
         target = exact_reverse_marginal(self.initial, self.config.T, self.config.T - self.config.delta)
         tvs = [
-            tv_exact(euler_exact_law(self.oracle, self.config, n), target)
+            tv_exact(euler_law(self.oracle, self.config, n), target)
             for n in (4, 16, 64, 256)
         ]
         assert all(a > b for a, b in zip(tvs, tvs[1:]))
@@ -545,7 +542,7 @@ class TestEulerSample:
     def test_sampled_law_matches_exact_propagation(self):
         n_steps = 32
         result = euler_sample(self.config, self.oracle, n_steps, 40_000)
-        law = euler_exact_law(self.oracle, self.config, n_steps)
+        law = euler_law(self.oracle, self.config, n_steps)
         counts = np.bincount(state_to_index(result.states), minlength=16)
         assert tv_exact(counts / counts.sum(), law / law.sum()) < 0.02
 
