@@ -38,12 +38,14 @@ def beta_value(D: int, T: float, t, mode: str = "standard"):
     """Rate cap at reverse time t: 2D / min(1, T-t), or the tighter
     D (1 + 1/(T-t)) which still dominates the exact total reverse rate."""
     rem = T - np.asarray(t, dtype=np.float64)
-    if mode == "standard":
-        out = 2.0 * D / np.minimum(1.0, rem)
-    elif mode == "tight":
-        out = D * (1.0 + 1.0 / rem)
-    else:
-        raise ValueError(f"unknown beta mode {mode!r}")
+    # a cap beyond the float range comes out inf, which TimePartition rejects
+    with np.errstate(over="ignore"):
+        if mode == "standard":
+            out = 2.0 * D / np.minimum(1.0, rem)
+        elif mode == "tight":
+            out = D * (1.0 + 1.0 / rem)
+        else:
+            raise ValueError(f"unknown beta mode {mode!r}")
     return float(out) if out.ndim == 0 else out
 
 
@@ -70,6 +72,11 @@ class TimePartition:
             raise ValueError("all endpoints must stay below T")
         if len(betas) != len(times) - 1 or (betas <= 0).any():
             raise ValueError("need one positive beta per segment")
+        if not np.isfinite(betas).all():
+            raise ValueError(
+                f"rate cap overflows float64 near T - delta: delta={self.delta!r} "
+                f"is too small for T={self.T!r}"
+            )
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "betas", betas)
 

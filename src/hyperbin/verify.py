@@ -6,19 +6,21 @@ whose detail text gives each measured value next to its threshold. At
 fixed seeds; at `"quick"` scale `hyperbin verify --suite NAME` runs
 desk-scale sizes with `--seed`. `SCALES` holds the sizes and n-dependent
 slacks of both; thresholds that do not depend on n are named once in
-their check. c04, c10 and c11 run one size at both scales; c10 samples
-nothing, so its row is the same at every seed. `SUITES` maps each CLI
-suite name to its check.
+their check. c05 judges its sampled laws by one G-test at one false-alarm
+rate, ALPHA, at both scales. c04, c10 and c11 run one size at both
+scales; c06 and c10 sample nothing, so their rows are the same at every
+seed. `SUITES` maps each CLI suite name to its check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
-from scipy.stats import binom, norm
+from scipy.stats import binom, chi2, norm
 
 from .adjacency import graph_report, mixing_time
 from .bits import all_states, hamming_to_rows, state_to_index
@@ -30,16 +32,24 @@ from .chain import (
     flip_probability,
     marginal_at,
 )
-from .metrics import EmpiricalLaw, kl_exact, tv_continuous_histogram, tv_exact, tv_plugin
+from .metrics import kl_exact, tv_continuous_histogram, tv_exact
 from .quantizer import QuantizerSpec, vbin_encode
 from .sampler import (
     SamplerConfig,
+    TimePartition,
     beta_value,
     build_partition,
     exact_reverse_marginal,
     sample,
 )
-from .scores import ExactScoreOracle, ScoreOracle, calibrate_noise_scale, score_entropy_loss
+from .scores import (
+    TIME_BUCKETS,
+    ExactScoreOracle,
+    PerturbedScoreOracle,
+    ScoreOracle,
+    calibrate_noise_scale,
+    score_entropy_loss,
+)
 
 # Per check, the sizes of each scale and the slacks that widen with fewer
 # samples. Checks not listed (c04, c10, c11) run one size.
@@ -50,12 +60,12 @@ SCALES = {
         "full": dict(draws=20, max_D=8, sample_dims=(4, 7, 10)),
         "quick": dict(draws=10, max_D=6, sample_dims=(4,)),
     },
-    # plug-in TV threshold: multinomial slack over 64 states
-    "c05": {"full": dict(n=200_000, max_tv=0.03), "quick": dict(n=20_000, max_tv=0.06)},
-    # KL slack: estimation error of the smoothed law over 64 states
+    # replicas per G-test row; the test's threshold is set by ALPHA alone
+    "c05": {"full": dict(n=200_000), "quick": dict(n=20_000)},
+    # c06 samples nothing: its score-error targets and the loss's time grid
     "c06": {
-        "full": dict(targets=(0.01, 0.04), grid=129, n=1_000_000, slack=0.02),
-        "quick": dict(targets=(0.04,), grid=65, n=50_000, slack=0.06),
+        "full": dict(targets=(0.01, 0.04), grid=129),
+        "quick": dict(targets=(0.04,), grid=65),
     },
     "c07": {"full": dict(max_D=10), "quick": dict(max_D=8)},
     # TV slack on top of the 5 eps bound: histogram estimation error
@@ -67,6 +77,9 @@ SCALES = {
 # mean plug-in TV an Euler law must reach to match uniformization.
 EULER_LADDER = (32, 64, 128, 256, 512, 1024)
 MATCH_DRAWS = 100_000
+
+# c05: the chance that a G-test row fails on correct code.
+ALPHA = 1e-6
 
 
 @dataclass(frozen=True)
@@ -212,29 +225,105 @@ def check_c04(scale: str, seed: int) -> list[CheckRow]:
     return [CheckRow("event_budget_and_count", passed, worst, draws, detail)]
 
 
+def cap_totals(rates: np.ndarray, cap) -> np.ndarray:
+    """Per-flip rates (B, D) with each row whose total exceeds `cap`
+    scaled down to total `cap`."""
+    total = rates.sum(axis=1, keepdims=True)
+    return rates * np.divide(cap, total, out=np.ones_like(total), where=total > cap)
+
+
+def uniformization_law(
+    oracle: ScoreOracle, partition: TimePartition, start: np.ndarray
+) -> np.ndarray:
+    """Exact law at T - delta of the chain that `sampler.sample` simulates
+    under `oracle` on `partition`, from the dense law `start` (D <= 12).
+
+    On segment w the chain flips bit i of y at rate ratio_i(y, t), each
+    state's total capped at beta_w, so the law solves dq/dt = G(t) q with
+    G = flip_generator(cap_totals(ratios, beta_w)); DOP853 integrates it at
+    rtol 1e-11. Segments are split at the edges k T / TIME_BUCKETS, where a
+    perturbed oracle's noise jumps, and each query stays strictly below its
+    piece's right end, since a query at an edge reads the next bucket's
+    noise. It shares no code with the sampler's kernel, so it is an
+    independent reference for it.
+    """
+    states = all_states(partition.n_bits)
+    edges = np.arange(1, TIME_BUCKETS) * (partition.T / TIME_BUCKETS)
+    law = np.asarray(start, dtype=np.float64)
+    for t0, t1, beta in partition.segments():
+        cuts = np.concatenate(([t0], edges[(edges > t0) & (edges < t1)], [t1]))
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            last = b - 1e-9 * (b - a)
+
+            def rhs(t, q):
+                rates = oracle.ratio_all(min(t, last), states)
+                return flip_generator(cap_totals(rates, beta)) @ q
+
+            law = solve_ivp(rhs, (a, b), law, method="DOP853", rtol=1e-11, atol=1e-14).y[:, -1]
+    return law
+
+
+def g_test(states: np.ndarray, law: np.ndarray) -> tuple[float, float]:
+    """G statistic of sampled states (n, D) against the dense law, and the
+    threshold it exceeds with probability about ALPHA when the states are
+    draws from `law`. G = 2 sum c ln(c / n p) over cells; the states whose
+    expected count n p is below 5 are pooled into one cell, so that G is
+    close to chi-square with cells - 1 degrees of freedom."""
+    counts = np.bincount(state_to_index(states), minlength=len(law))
+    expected = len(states) * law
+    pooled = expected < 5
+    observed, expected = counts[~pooled], expected[~pooled]
+    if pooled.any():
+        observed = np.append(observed, counts[pooled].sum())
+        expected = np.append(expected, len(states) * law[pooled].sum())
+    hit = observed > 0
+    G = 2.0 * float(np.sum(observed[hit] * np.log(observed[hit] / expected[hit])))
+    return G, float(chi2.isf(ALPHA, len(observed) - 1))
+
+
 def check_c05(scale: str, seed: int) -> list[CheckRow]:
-    """The sampler's law equals the exact early-stopped law."""
-    size = SCALES["c05"][scale]
+    """The sampler's law equals the exact law of the chain it simulates,
+    by a G-test at ALPHA: under the exact oracle that law is the
+    early-stopped target; under a perturbed oracle with the tight cap,
+    where truncation fires, it is `uniformization_law`."""
+    n = SCALES["c05"][scale]["n"]
     initial, config = d6_instance(seed)
-    result = sample(config, ExactScoreOracle(initial, config.T), size["n"])
+    exact = ExactScoreOracle(initial, config.T)
     target = exact_reverse_marginal(initial, config.T, config.T - config.delta)
-    tv = tv_plugin(EmpiricalLaw.from_indices(state_to_index(result.states)), target)
+    G, threshold = g_test(sample(config, exact, n).states, target)
     detail = (
-        f"sampler law equals the exact early-stopped law: plug-in TV = {tv:.4f} at "
-        f"{_e(size['n'])} replicas, D=6 (threshold {size['max_tv']:g})"
+        f"sampler law equals the exact early-stopped law: G = {G:.1f} at {_e(n)} "
+        f"replicas, D=6 (threshold {threshold:.1f} at alpha {_e(ALPHA)})"
     )
-    return [CheckRow("sampler_law_matches_exact", tv <= size["max_tv"], tv, size["n"], detail)]
+    rows = [CheckRow("sampler_law_matches_exact", G <= threshold, G, n, detail)]
+
+    # the benchmark's perturbed_tight_d6 configuration
+    tight = replace(config, beta_mode="tight")
+    perturbed = PerturbedScoreOracle(exact, 0.5, seed=77)
+    law = uniformization_law(perturbed, tight.partition(), marginal_at(initial, config.T))
+    result = sample(tight, perturbed, n)
+    G, threshold = g_test(result.states, law)
+    detail = (
+        f"perturbed sampler law equals its exact uniformization law: G = {G:.1f} at "
+        f"{_e(n)} replicas, noise 0.5, tight cap, {result.stats.truncation_activations} "
+        f"truncations (threshold {threshold:.1f} at alpha {_e(ALPHA)})"
+    )
+    rows.append(CheckRow("perturbed_law_matches_exact", G <= threshold, G, n, detail))
+    return rows
 
 
 def check_c06(scale: str, seed: int, targets=None) -> list[CheckRow]:
     """KL to the exact law grows at most (T - delta) times the score
     error, for oracles calibrated to each target score-entropy loss
-    (the scale's targets unless `targets` names some)."""
+    (the scale's targets unless `targets` names some). The sampled
+    chain's law is `uniformization_law`, so nothing is sampled and the
+    rows are the same at every `seed`."""
     size = SCALES["c06"][scale]
     initial, config = d6_instance(seed)
     grid = np.linspace(1e-3, config.T, size["grid"])
     target = exact_reverse_marginal(initial, config.T, config.T - config.delta)
-    rel_tol, n = 0.05, size["n"]
+    start, partition = marginal_at(initial, config.T), config.partition()
+    rel_tol = 0.05
     rows = []
     for target_sq in targets or size["targets"]:
         oracle = calibrate_noise_scale(initial, config.T, target_sq, seed=77, time_grid=grid)
@@ -245,16 +334,15 @@ def check_c06(scale: str, seed: int, targets=None) -> list[CheckRow]:
             f"(target within rel {rel_tol:g})"
         )
         rows.append(CheckRow("score_error_calibrated", calibrated, measured, size["grid"], detail))
-        law = EmpiricalLaw.from_indices(state_to_index(sample(config, oracle, n).states))
-        kl = kl_exact(target, law.to_smoothed(len(target)))
+        kl = kl_exact(target, uniformization_law(oracle, partition, start))
         # exact-terminal initialization: the initial KL term is zero
-        bound = (config.T - config.delta) * measured + size["slack"]
+        bound = (config.T - config.delta) * measured
         detail = (
-            f"KL growth under score error {target_sq}: smoothed KL = {kl:.4f} <= "
-            f"(T-delta)*L_SE + {size['slack']:g} = {bound:.4f} "
-            f"(measured L_SE = {measured:.4f}, {_e(n)} replicas)"
+            f"KL growth under score error {target_sq}: exact KL = {kl:.2e} <= "
+            f"(T-delta)*L_SE = {bound:.4f} (measured L_SE = {measured:.4f}, "
+            f"law of the simulated chain)"
         )
-        rows.append(CheckRow("kl_growth_within_budget", kl <= bound, kl, n, detail))
+        rows.append(CheckRow("kl_growth_within_budget", kl <= bound, kl, size["grid"], detail))
     return rows
 
 
@@ -327,13 +415,6 @@ def check_c09(scale: str, seed: int) -> list[CheckRow]:
     )
     passed = within and lo <= slope <= hi and miscounted == 0
     return [CheckRow("complexity_slope", passed, slope, n * len(dims), detail)]
-
-
-def cap_totals(rates: np.ndarray, cap) -> np.ndarray:
-    """Per-flip rates (B, D) with each row whose total exceeds `cap`
-    scaled down to total `cap`."""
-    total = rates.sum(axis=1, keepdims=True)
-    return rates * np.divide(cap, total, out=np.ones_like(total), where=total > cap)
 
 
 def euler_law(oracle: ScoreOracle, config: SamplerConfig, n_steps: int) -> np.ndarray:

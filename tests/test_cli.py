@@ -295,11 +295,18 @@ class TestSampleCommand:
             ("sampler", {"delta": 1e-320}, [], "T - delta < T, got delta=1e-320"),
             ("sampler", [], [], "'sampler' must be a JSON object"),
             (None, None, ["--seed", "-1"], "argument --seed: must be a non-negative integer"),
+            (
+                "sampler",
+                {"T": 1e-300, "delta": 1e-310},
+                ["--method", "uniformization"],
+                "delta=1e-310 is too small for T=1e-300",
+            ),
         ],
     )
     def test_probes_exit_2_naming_the_key(self, tmp_path, capsys, section, entries, args, message):
-        # float() would run true as 1.0 and "3" as 3.0, and delta = 1e-320
-        # would refine the partition forever
+        # float() would run true as 1.0 and "3" as 3.0; delta = 1e-320
+        # would refine the partition forever, and delta = 1e-310 under
+        # T = 1e-300 would overflow the last cap and sample forever
         config = integer_keys_config()
         if isinstance(entries, dict):
             config[section] = {**config.get(section, {}), **entries}

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
 from scipy.stats import chi2, chisquare, kstest, norm, poisson
 
 from conftest import random_initial
 from hyperbin import sampler
 from hyperbin.bits import all_states, state_to_index
-from hyperbin.chain import EmpiricalInitial, flip_generator, marginal_at
+from hyperbin.chain import EmpiricalInitial, marginal_at
 from hyperbin.cli import write_samples_csv, write_stats_csv
 from hyperbin.metrics import EmpiricalLaw, tv_exact, tv_plugin
 from hyperbin.quantizer import QuantizerSpec
@@ -27,7 +26,7 @@ from hyperbin.sampler import (
     sample,
 )
 from hyperbin.scores import ExactScoreOracle, ScoreOracle
-from hyperbin.verify import cap_totals, euler_law
+from hyperbin.verify import euler_law, uniformization_law
 
 
 class FixedRateOracle(ScoreOracle):
@@ -61,12 +60,6 @@ def uniform_support_oracle(D, T):
     """Exact oracle whose target is uniform, so every ratio is 1."""
     initial = EmpiricalInitial(states=all_states(D), weights=np.full(1 << D, 2.0**-D))
     return ExactScoreOracle(initial, T)
-
-
-def reverse_generator(oracle, t, truncate_at=math.inf):
-    """Dense reverse generator at reverse time t from oracle ratios, each
-    state's total rate capped at `truncate_at`."""
-    return flip_generator(cap_totals(oracle.ratio_all(t, all_states(oracle.n_bits)), truncate_at))
 
 
 class TestBuildPartition:
@@ -146,13 +139,16 @@ class TestBuildPartition:
     @settings(max_examples=300, deadline=None)
     def test_any_gap_ends_or_raises(self, T, log_delta):
         # the remaining gap shrinks by 2/3 per segment, so a gap that the
-        # partition accepts ends it within ln(T/delta)/ln(3/2) + 2 segments
+        # partition accepts ends it within ln(T/delta)/ln(3/2) + 2 segments;
+        # a gap is rejected when its last cap, 2D / min(1, delta), overflows
         delta = math.exp(log_delta)
         try:
             part = build_partition(D=3, T=T, delta=delta)
         except ValueError:
-            assert not (0 < delta < T and T - delta < T)
+            gap_ok = 0 < delta < T and T - delta < T
+            assert not (gap_ok and 6.0 / min(1.0, T - (T - delta)) < math.inf)
             return
+        assert np.isfinite(part.betas).all()
         assert part.n_segments <= math.ceil(math.log(T / delta) / math.log(1.5)) + 2
 
     def test_tight_mode_dominates_true_rate_but_stays_below_standard(self):
@@ -275,8 +271,9 @@ class TestUniformizeSegment:
         assert ((t >= 0.0) & (t <= T - delta)).all()
 
     def test_segment_law_matches_ode(self, rng):
-        # independent oracle: integrate the truncated reverse dynamics and
-        # compare with the empirical law of 1e5 lockstep replicas
+        # independent reference: the truncated reverse dynamics integrated
+        # by verify.uniformization_law, against the empirical law of 1e5
+        # lockstep replicas
         D = 4
         T, seg_end = 3.0, 0.61
         initial = random_initial(rng, D, 5)
@@ -285,24 +282,14 @@ class TestUniformizeSegment:
         y_in = rng.integers(0, 2, D).astype(np.uint8)
 
         n = 100_000
+        part = one_segment(seg_end, beta, D, T)
         states = np.tile(y_in, (n, 1))
-        stats = _uniformize_chunk(oracle, one_segment(seg_end, beta, D, T), states, rng)
+        stats = _uniformize_chunk(oracle, part, states, rng)
         counts = np.bincount(state_to_index(states), minlength=1 << D)
 
         q0 = np.zeros(1 << D)
         q0[state_to_index(y_in)] = 1.0
-        sol = solve_ivp(
-            lambda t, q: reverse_generator(oracle, t, truncate_at=beta) @ q,
-            (0.0, seg_end),
-            q0,
-            method="Radau",
-            rtol=1e-9,
-            atol=1e-12,
-        )
-        law = sol.y[:, -1]
-        law = np.clip(law, 0, None)
-        law /= law.sum()
-        assert tv_exact(counts / n, law) < 0.02
+        assert tv_exact(counts / n, uniformization_law(oracle, part, q0)) < 0.02
         assert stats.truncation_activations == 0
 
 
@@ -494,21 +481,14 @@ class TestExactReverseMarginal:
         assert 0.5 * np.abs(near_uniform - 2.0**-4).sum() < 1e-4
 
     def test_matches_stiff_ode(self, rng):
-        # integrate the ideal reverse dynamics from the terminal marginal
+        # integrate the reverse dynamics from the terminal marginal; the
+        # caps dominate the exact rates, so they never bind
         D, T, delta = 5, 2.0, 0.05
         initial = random_initial(rng, D, 6)
         oracle = ExactScoreOracle(initial, T)
-        q0 = marginal_at(initial, T)
-        sol = solve_ivp(
-            lambda t, q: reverse_generator(oracle, t) @ q,
-            (0.0, T - delta),
-            q0,
-            method="Radau",
-            rtol=1e-10,
-            atol=1e-13,
-        )
+        law = uniformization_law(oracle, build_partition(D, T, delta), marginal_at(initial, T))
         expected = exact_reverse_marginal(initial, T, T - delta)
-        assert np.abs(sol.y[:, -1] - expected).max() < 1e-6
+        assert np.abs(law - expected).max() < 1e-6
 
     def test_domain_checks(self, rng):
         initial = random_initial(rng, 3, 3)
@@ -547,11 +527,11 @@ class TestEulerSample:
         assert tv_exact(counts / counts.sum(), law / law.sum()) < 0.02
 
     def test_small_h_matches_uniformization(self):
-        fine = euler_sample(self.config, self.oracle, 512, 50_000)
-        uni = sample(self.config, self.oracle, 50_000)
-        law_e = np.bincount(state_to_index(fine.states), minlength=16) / 50_000
-        law_u = np.bincount(state_to_index(uni.states), minlength=16) / 50_000
-        assert tv_exact(law_e, law_u) < 0.03
+        # both exact laws; the sampled Euler law is checked against its
+        # exact law above
+        uniform = np.full(16, 1 / 16)
+        law_u = uniformization_law(self.oracle, self.config.partition(), uniform)
+        assert tv_exact(euler_law(self.oracle, self.config, 512), law_u) < 0.03
 
     def test_overlong_steps_clip_and_report(self):
         oracle = FixedRateOracle([50.0] * 4, T=2.5)
