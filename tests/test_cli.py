@@ -405,12 +405,11 @@ class TestVerifyCommand:
         assert "no match up to 32 steps -> evaluation ratio >= 0.3 " in out
 
     def test_euler_baseline_row_is_exact(self):
-        # nothing is sampled: one row at both scales and every seed
+        # nothing is sampled; tests/test_verify.py checks that the row is
+        # the same at both scales and every seed
         [row] = verify_suites.check_c10("full", 1010)
         assert row.passed and "match at 512 steps -> evaluation ratio 5.2 " in row.detail
         assert "97.72 expected events" in row.detail and "TV 0.0058 of 1e5" in row.detail
-        for seed in range(10):
-            assert verify_suites.check_c10("quick", seed) == [row]
 
     def test_partition_event_count_follows_seed(self, capsys):
         means = []

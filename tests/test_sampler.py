@@ -383,13 +383,6 @@ class TestSample:
         assert tv < 0.02
         assert result.stats.truncation_activations == 0
 
-    def test_small_run_agrees_with_exact_law(self):
-        config, oracle, initial = self._instance(init="exact-terminal")
-        result = sample(config, oracle, 400)
-        target = exact_reverse_marginal(initial, config.T, config.T - config.delta)
-        tv = tv_plugin(EmpiricalLaw.from_indices(state_to_index(result.states)), target)
-        assert tv < 0.1  # multinomial slack at 400 replicas
-
     def test_continuous_output_lands_in_decoded_cells(self):
         config, oracle, _ = self._instance()
         result = sample(config, oracle, 500)

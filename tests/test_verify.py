@@ -1,5 +1,5 @@
-"""The exact reference laws and the law test of `hyperbin.verify`, and the
-rows of the two checks built on them (c05 and c06) at quick scale."""
+"""The exact reference laws and the law test of `hyperbin.verify`, c05's
+rows at quick seeds, and the rows of the checks that sample nothing."""
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -61,6 +61,13 @@ class TestGTest:
             G, threshold = verify.g_test(multinomial_states(rng, 20_000, shifted), target)
             assert G > threshold
 
+    def test_one_pooled_cell_raises(self):
+        # 10 draws expect 10/64 < 5 in every cell, so all 64 pool into one
+        uniform = np.full(64, 1 / 64)
+        states = multinomial_states(np.random.default_rng(20), 10, uniform)
+        with pytest.raises(ValueError, match="one cell"):
+            verify.g_test(states, uniform)
+
 
 def support_key(initial):
     return initial.states.tobytes(), initial.weights.tobytes()
@@ -79,9 +86,9 @@ def calibration_key(initial, T, target_loss, seed, time_grid):
 @pytest.fixture
 def memoize(monkeypatch):
     """Replace a function of `verify` by one that computes each value of
-    `key(args)` once. A loop over seeds then pays once for a law that no
-    seed enters, and an argument that changes with the seed still misses
-    the cache."""
+    `key(args)` once. A check run again at another seed or scale then
+    pays once for a law that neither enters, and an argument that changes
+    with them still misses the cache."""
 
     def install(name, key):
         compute, cache = getattr(verify, name), {}
@@ -107,12 +114,23 @@ class TestLawRows:
             for seed, rows in enumerate([first, *rest]):
                 assert len(rows) == 2 and all(row.passed for row in rows), seed
 
-    def test_c06_rows_are_the_same_at_quick_seeds(self, memoize):
-        # nothing is sampled, so the seed changes nothing
-        memoize("uniformization_law", law_key)
-        memoize("calibrate_noise_scale", calibration_key)
-        first = verify.check_c06("quick", 0)
-        assert len(first) == 2 and all(row.passed for row in first)
-        assert "exact KL = 2.12e-04 <= (T-delta)*L_SE = 0.1630" in first[1].detail
-        for seed in range(1, 10):
-            assert verify.check_c06("quick", seed) == first
+
+# A fragment of each exact row whose value is pinned.
+PINNED = {
+    "robustness": "exact KL = 2.12e-04 <= (T-delta)*L_SE = 0.1632",
+    "complexity": "expected events [57.9, 140.6, 232.3, 329.9]",
+}
+
+
+@pytest.mark.parametrize(
+    "suite", ["kernel", "robustness", "complexity", "euler-baseline", "adjacency"]
+)
+def test_exact_suites_ignore_scale_and_seed(suite, memoize):
+    # nothing is sampled, so the quick rows at seed 1 are the full rows at seed 0
+    memoize("uniformization_law", law_key)
+    memoize("calibrate_noise_scale", calibration_key)
+    check = verify.SUITES[suite]
+    rows = check("full", 0)
+    assert rows and all(row.passed for row in rows)
+    assert PINNED.get(suite, "") in " ".join(row.detail for row in rows)
+    assert check("quick", 1) == rows
