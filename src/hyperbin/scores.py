@@ -80,7 +80,8 @@ class ScoreOracle:
 
     def ratio_all(self, t, states) -> np.ndarray:
         """Ratios for every flip: (B, D) array for (B, D) base states and
-        per-row reverse times t in [0, T) (scalar or (B,))."""
+        per-row reverse times t in [0, T) (scalar or (B,)). A row's ratios
+        depend only on its (t, state): repeated rows may be answered once."""
         raise NotImplementedError
 
 
@@ -128,6 +129,9 @@ class ExactScoreOracle(ScoreOracle):
     into one (B, D + 1, D + 1) workspace per thread (the sampler's threads
     share an oracle), in chunks of 2^18 shells. At B = 65536 chunks of
     2^18 ran 1.1x (D = 6) to 1.5x (D = 12) faster than chunks of 2^24.
+    A scalar-t query (each Euler step, the exact-law helpers) looks each
+    distinct state up once: 2000 rows at D = 6 take 136 us, 300 us per-row;
+    np.unique adds 9 us on 64 distinct rows, 86 us on 4096 (best of 300).
     """
 
     def __init__(self, initial: EmpiricalInitial, T: float):
@@ -163,42 +167,49 @@ class ExactScoreOracle(ScoreOracle):
         B, D = states.shape
         if D != self.n_bits:
             raise ValueError(f"states have {D} bits, expected {self.n_bits}")
-        t = np.broadcast_to(np.asarray(t, dtype=np.float64), (B,))
-        if (t < 0).any() or (t >= self.T).any():
+        times = np.broadcast_to(np.asarray(t, dtype=np.float64), (B,))
+        if (times < 0).any() or (times >= self.T).any():
             raise ValueError("reverse times must lie in [0, T)")
         # Only the per-bit odds rho = pf/ps of forward time T - t matter for
         # ratios; rho lies in (0, 1] and increases with T - t.
-        pf = flip_probability(self.T - t)
+        pf = flip_probability(self.T - times)
         rho = pf / (1.0 - pf)
-        ratio_chunk = self._table_chunk if self.uses_shell_table else self._matmul_chunk
-        out = np.empty((B, D))
-        for lo in range(0, B, self._chunk_rows):
-            hi = min(B, lo + self._chunk_rows)
-            ratio_chunk(rho[lo:hi], states[lo:hi], out[lo:hi])
+        ratio_chunk, rows, inverse = self._matmul_chunk, states, None
+        if self.uses_shell_table:
+            ratio_chunk, rows = self._table_chunk, states @ self._flips[1:]  # state indices
+            if np.ndim(t) == 0:  # one rho for all rows: look each distinct state up once
+                rows, inverse = np.unique(rows, return_inverse=True)
+        out = np.empty((len(rows), D))
+        for lo in range(0, len(rows), self._chunk_rows):
+            hi = min(len(rows), lo + self._chunk_rows)
+            ratio_chunk(rho[lo:hi], rows[lo:hi], out[lo:hi])
         if not np.isfinite(out).all():
             raise FloatingPointError(
                 "density ratio overflowed for some query; reverse time too close to T"
             )
-        return out
+        return out if inverse is None else out[inverse]
 
-    def _table_chunk(self, rho, states, out) -> None:
+    def _table_chunk(self, rho, y, out) -> None:
         # q(y) is proportional to sum_k C[y, k] rho^k. Dividing by rho^k0,
         # with k0 the lowest nonzero shell of y, keeps every power in
         # [rho^-1, 1]: a neighbour's nonzero shells start at k0 - 1 or
         # later, so exponents below -1 only ever multiply zeros.
-        y = states @ self._flips[1:]
-        powers = rho[:, None] ** self._exponents[y]
-        # The state is flip 0 of its own lookup. A fresh shell array per
-        # query faults its pages in again once glibc has returned them.
-        # Indices are always in range, and mode="clip" writes into the
-        # workspace directly where "raise" buffers.
-        workspace = getattr(self._workspace, "shells", None)
+        # The state is flip 0 of its own lookup. Arrays made per query fault
+        # their pages in again once glibc has returned them, so each lives in
+        # the workspace. Indices are always in range, and mode="clip" writes
+        # into the workspace directly where "raise" buffers.
+        workspace = getattr(self._workspace, "arrays", None)
         if workspace is None:
-            D = self.n_bits
-            workspace = self._workspace.shells = np.empty((self._chunk_rows, D + 1, D + 1))
-        shells = workspace[: len(y)]
-        np.take(self._shells, y[:, None] ^ self._flips, axis=0, out=shells, mode="clip")
-        q = np.einsum("bik,bk->bi", shells, powers)  # q[:, 0] is the state's own mass
+            n, D = self._chunk_rows, self.n_bits
+            workspace = self._workspace.arrays = (
+                np.empty((n, D + 1, D + 1)), np.empty((n, D + 1)), np.empty((n, D + 1)),
+                np.empty((n, D + 1), dtype=np.int64),
+            )
+        shells, powers, q, index = (a[: len(y)] for a in workspace)
+        np.power(rho[:, None], self._exponents[y], out=powers)
+        np.bitwise_xor(y[:, None], self._flips, out=index)
+        np.take(self._shells, index, axis=0, out=shells, mode="clip")
+        np.einsum("bik,bk->bi", shells, powers, out=q)  # q[:, 0] is the state's own mass
         np.divide(q[:, 1:], q[:, :1], out=out)
 
     def _matmul_chunk(self, rho, states, out) -> None:

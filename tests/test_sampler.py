@@ -16,8 +16,10 @@ from hyperbin.cli import write_samples_csv, write_stats_csv
 from hyperbin.metrics import EmpiricalLaw, tv_exact, tv_plugin
 from hyperbin.quantizer import QuantizerSpec
 from hyperbin.sampler import (
+    RunStats,
     SamplerConfig,
     TimePartition,
+    _jump,
     _uniformize_chunk,
     beta_value,
     build_partition,
@@ -26,7 +28,7 @@ from hyperbin.sampler import (
     sample,
 )
 from hyperbin.scores import ExactScoreOracle, ScoreOracle
-from hyperbin.verify import euler_law, uniformization_law
+from hyperbin.verify import euler_law, g_test, uniformization_law
 
 
 class FixedRateOracle(ScoreOracle):
@@ -167,6 +169,32 @@ def one_segment(t_hi, beta, D, T):
     )
 
 
+def jump_reference(states, rows, rates, beta, h, rng, stats):
+    """The plain body of `sampler._jump`: running sums by np.cumsum and the
+    flip chosen by an argmax over every row, moved or not."""
+    cum = np.cumsum(rates, axis=1, out=rates)
+    total = cum[:, -1]
+    over = total > beta
+    if over.any():
+        cap = np.broadcast_to(beta, total.shape)[over]
+        cum[over] *= (cap / total[over])[:, None]
+        stats.truncation_activations += int(over.sum())
+    u = rng.random(len(rows))
+    if h is None:
+        u *= beta
+    else:
+        cum *= h
+        clipped = total > 1.0
+        if clipped.any():
+            cum[clipped] /= total[clipped][:, None]
+            stats.clipped_steps += int(clipped.sum())
+    moved = u < total
+    flips = np.argmax(u[:, None] < cum, axis=1)
+    states[rows[moved], flips[moved]] ^= 1
+    stats.accepted_moves += int(moved.sum())
+    stats.score_evals += cum.size
+
+
 def assert_independent_flip_law(states, rates, dt):
     """Under constant per-bit rates each bit flips as its own Poisson
     process, so from all-zero states P(bit i = 1) = (1 - e^(-2 r_i dt)) / 2."""
@@ -210,6 +238,38 @@ class TestTruncatedRates:
         stats = _uniformize_chunk(FixedRateOracle([8.0, 6.0], T=1.0), part, states, rng)
         assert (stats.events_per_segment > 0).all()
         assert stats.truncation_activations == stats.events_per_segment[0]
+
+    def test_jump_matches_the_reference_body(self):
+        gen = np.random.default_rng(31)
+        n, B = 3000, 1500
+        cases = [
+            # (D, rate scale, beta, h): per-row caps, some rows over them
+            (6, 4.0, gen.uniform(5.0, 20.0, B), None),
+            # Euler: one cap, and steps long enough that some rows clip
+            (6, 4.0, 18.0, 0.08),
+            (1, 3.0, gen.uniform(1.0, 4.0, B), None),
+            (1, 3.0, 2.0, 0.6),
+            (6, 0.0, gen.uniform(1.0, 2.0, B), None),
+            (6, 0.0, 10.0, 0.1),
+        ]
+        for D, scale, beta, h in cases:
+            states = gen.integers(0, 2, (n, D), dtype=np.uint8)
+            rows = np.sort(gen.choice(n, B, replace=False))
+            rates = scale * gen.random((B, D))
+            seed = int(gen.integers(1 << 32))
+            got_states, want_states = states.copy(), states.copy()
+            got, want = RunStats(), RunStats()
+            _jump(got_states, rows, rates.copy(), beta, h, np.random.default_rng(seed), got)
+            jump_reference(
+                want_states, rows, rates.copy(), beta, h, np.random.default_rng(seed), want
+            )
+            assert np.array_equal(got_states, want_states)
+            assert got == want
+            assert want.score_evals == B * D
+            # each case reaches the branches it is named for
+            assert (want.accepted_moves > 0) == (scale > 0)
+            assert (want.truncation_activations > 0) == (scale > 0)
+            assert (want.clipped_steps > 0) == (scale > 0 and h is not None)
 
     def test_exact_oracle_never_truncates(self, rng):
         # dense check: the exact total rate stays below the tight bound,
@@ -515,9 +575,8 @@ class TestEulerSample:
     def test_sampled_law_matches_exact_propagation(self):
         n_steps = 32
         result = euler_sample(self.config, self.oracle, n_steps, 40_000)
-        law = euler_law(self.oracle, self.config, n_steps)
-        counts = np.bincount(state_to_index(result.states), minlength=16)
-        assert tv_exact(counts / counts.sum(), law / law.sum()) < 0.02
+        G, threshold = g_test(result.states, euler_law(self.oracle, self.config, n_steps))
+        assert G < threshold
 
     def test_small_h_matches_uniformization(self):
         # both exact laws; the sampled Euler law is checked against its

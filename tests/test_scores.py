@@ -234,6 +234,37 @@ class TestExactOracle:
             tracemalloc.stop()
         assert peak < 1000 * 12 * 13 * 8
 
+    @pytest.mark.parametrize("D, P", [(3, 3), (6, 10), (12, 300)])
+    def test_shared_time_queries_equal_per_row_queries(self, rng, D, P):
+        # a scalar t looks each distinct state up once, and must give the
+        # per-row answer bit for bit
+        initial = distinct_support(rng, D, P)
+        oracle = ExactScoreOracle(initial, T=2.0)
+        chunked = ExactScoreOracle(initial, T=2.0)
+        chunked._chunk_rows = 2  # below the 5 distinct states of `heavy`
+        assert oracle.uses_shell_table
+        heavy = index_to_state(rng.choice(1 << D, 5, replace=False), D)[rng.integers(0, 5, 3000)]
+        mixed = rng.integers(0, 2, (700, D), dtype=np.uint8)
+        for states in (heavy, mixed, heavy[:1], heavy[:0]):
+            for t in (0.0, 1.3, 2.0 - 1e-9):
+                shared = oracle.ratio_all(t, states)
+                assert shared.shape == states.shape
+                assert np.array_equal(shared, oracle.ratio_all(np.full(len(states), t), states))
+                assert np.array_equal(shared, chunked.ratio_all(t, states))
+
+    def test_shared_time_queries_report_overflow(self):
+        support = EmpiricalInitial(
+            states=np.array([[0, 0, 0], [1, 1, 0], [0, 1, 1]], np.uint8),
+            weights=np.array([0.3, 0.3, 0.4]),
+        )
+        # at T - t = 1e-310 the power 1/rho overflows; the oracle's own
+        # check must report it for one shared time as for per-row times
+        oracle = ExactScoreOracle(support, T=1e-310)
+        assert oracle.uses_shell_table
+        for t in (0.0, np.zeros(8)):
+            with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+                oracle.ratio_all(t, all_states(3))
+
 
 class TestOracleProperties:
     @given(
