@@ -50,6 +50,10 @@ _TABLE_CHUNK_ELEMENTS = 1 << 18
 # Uniform slices of [0, T) within which a perturbed oracle's noise is fixed.
 TIME_BUCKETS = 64
 
+# Largest D at which a perturbed oracle tabulates its noise: a fixed memory
+# bound, as TIME_BUCKETS D 2^D float64 come to 1 MB at D = 8.
+_NOISE_TABLE_MAX_BITS = 8
+
 # Relative tolerance at which calibrate_noise_scale stops bisecting.
 CALIBRATION_TOL = 1e-3
 
@@ -130,8 +134,11 @@ class ExactScoreOracle(ScoreOracle):
     share an oracle), in chunks of 2^18 shells. At B = 65536 chunks of
     2^18 ran 1.1x (D = 6) to 1.5x (D = 12) faster than chunks of 2^24.
     A scalar-t query (each Euler step, the exact-law helpers) looks each
-    distinct state up once: 2000 rows at D = 6 take 136 us, 300 us per-row;
-    np.unique adds 9 us on 64 distinct rows, 86 us on 4096 (best of 300).
+    distinct state up once: 2000 rows at D = 6 take 143 us, 380 us per-row.
+    Finding the distinct states takes O(B) through a per-thread (2^D,)
+    lookup: 5 us on 64 distinct rows, 36 us on 2000 rows of 64 states and
+    25 us on 4096 distinct rows, where np.unique took 16, 71 and 57 us
+    (best of 300).
     """
 
     def __init__(self, initial: EmpiricalInitial, T: float):
@@ -178,7 +185,7 @@ class ExactScoreOracle(ScoreOracle):
         if self.uses_shell_table:
             ratio_chunk, rows = self._table_chunk, states @ self._flips[1:]  # state indices
             if np.ndim(t) == 0:  # one rho for all rows: look each distinct state up once
-                rows, inverse = np.unique(rows, return_inverse=True)
+                rows, inverse = self._distinct(rows)
         out = np.empty((len(rows), D))
         for lo in range(0, len(rows), self._chunk_rows):
             hi = min(len(rows), lo + self._chunk_rows)
@@ -188,6 +195,23 @@ class ExactScoreOracle(ScoreOracle):
                 "density ratio overflowed for some query; reverse time too close to T"
             )
         return out if inverse is None else out[inverse]
+
+    def _distinct(self, rows) -> tuple[np.ndarray, np.ndarray | None]:
+        # The distinct state indices among `rows`, and where each row's index
+        # sits among them (None when all rows are distinct), in O(B): every
+        # row reads back the position of one row with its index, and the rows
+        # that read back their own are kept. The (2^D,) lookup lives in the
+        # thread's workspace, as _table_chunk's arrays do.
+        lookup = getattr(self._workspace, "lookup", None)
+        if lookup is None:
+            lookup = self._workspace.lookup = np.empty(1 << self.n_bits, dtype=np.int64)
+        order = np.arange(len(rows))
+        lookup[rows] = order
+        rep = lookup[rows]
+        kept = rep == order
+        if kept.all():
+            return rows, None
+        return rows[kept], (np.cumsum(kept) - 1)[rep]
 
     def _table_chunk(self, rho, y, out) -> None:
         # q(y) is proportional to sum_k C[y, k] rho^k. Dividing by rho^k0,
@@ -206,7 +230,10 @@ class ExactScoreOracle(ScoreOracle):
                 np.empty((n, D + 1), dtype=np.int64),
             )
         shells, powers, q, index = (a[: len(y)] for a in workspace)
-        np.power(rho[:, None], self._exponents[y], out=powers)
+        # rho^-1 overflows only for T - t below about 5.6e-309; ratio_all's
+        # finiteness check then reports it.
+        with np.errstate(over="ignore"):
+            np.power(rho[:, None], self._exponents[y], out=powers)
         np.bitwise_xor(y[:, None], self._flips, out=index)
         np.take(self._shells, index, axis=0, out=shells, mode="clip")
         np.einsum("bik,bk->bi", shells, powers, out=q)  # q[:, 0] is the state's own mass
@@ -234,7 +261,10 @@ class ExactScoreOracle(ScoreOracle):
         clear = terms @ self._ones  # disagreeing mass at clear bits
         clear *= 1.0 - set_bits
         out += clear
-        out *= ((1.0 / rho - rho) / terms.sum(axis=1))[:, None]
+        # 1/rho overflows, and a zero mass times it is NaN, only for T - t
+        # below about 5.6e-309; ratio_all's finiteness check reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out *= ((1.0 / rho - rho) / terms.sum(axis=1))[:, None]
         out += rho[:, None]
 
 
@@ -245,6 +275,16 @@ class PerturbedScoreOracle(ScoreOracle):
     uniform on [-noise_scale, noise_scale], so repeated queries are
     bitwise reproducible without any cache. Time is bucketed into
     TIME_BUCKETS uniform slices of [0, T).
+
+    xi takes TIME_BUCKETS 2^D D values. For D <= _NOISE_TABLE_MAX_BITS = 8,
+    which bounds the table at 1 MB, the constructor hashes all of them once
+    into a (TIME_BUCKETS, 2^D, D) table of exp(xi) and queries look their
+    factors up; above that, every query hashes its rows. Both give the same
+    bits. The table takes 0.19 MB and 1.1 ms to build at D = 6, 1 MB and
+    4.6 ms at D = 8; only D = 6 is benchmarked. A 2000-row query at
+    D = 6 took 460 us with the table and 860 us hashing, of which the inner
+    exact oracle took 370 us (2-vCPU Xeon VM, numpy 2.4.6, best of 1000
+    calls).
     """
 
     def __init__(self, inner: ScoreOracle, noise_scale: float, seed: int):
@@ -252,30 +292,50 @@ class PerturbedScoreOracle(ScoreOracle):
             raise ValueError("noise_scale must be nonnegative")
         self.inner = inner
         self.T = inner.T
-        self.n_bits = inner.n_bits
+        self.n_bits = D = inner.n_bits
         self.noise_scale = float(noise_scale)
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         # The hashes of the seed, of every time bucket and of every flip
         # position do not depend on the query.
         self._seed_mix = splitmix64(np.array([self.seed], dtype=np.uint64))
         self._bucket_mix = splitmix64(np.arange(TIME_BUCKETS, dtype=np.uint64))
-        self._flip_mix = splitmix64(np.arange(self.n_bits, dtype=np.uint64) + np.uint64(0x5BF0))
+        self._flip_mix = splitmix64(np.arange(D, dtype=np.uint64) + np.uint64(0x5BF0))
+        self._noise_table = None
+        if D <= _NOISE_TABLE_MAX_BITS:
+            buckets = np.arange(TIME_BUCKETS)[:, None]
+            self._noise_table = np.exp(self._noise(buckets, all_states(D)))
 
     @property
     def initial(self) -> EmpiricalInitial:
         return self.inner.initial
 
-    def log_noise(self, t, states) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=np.uint8))
+    @property
+    def uses_noise_table(self) -> bool:
+        """Whether queries look exp(xi) up; fixed by D at construction."""
+        return self._noise_table is not None
+
+    def _bucket(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
-        bucket = np.clip((t / self.T * TIME_BUCKETS).astype(np.int64), 0, TIME_BUCKETS - 1)
+        return np.clip((t / self.T * TIME_BUCKETS).astype(np.int64), 0, TIME_BUCKETS - 1)
+
+    def _noise(self, bucket, states) -> np.ndarray:
+        # xi for (B, D) states and time buckets broadcast against their rows.
         key = splitmix64(state_key(states) ^ self._bucket_mix[bucket] ^ self._seed_mix)
-        word = splitmix64(key[:, None] ^ self._flip_mix)
+        word = splitmix64(key[..., None] ^ self._flip_mix)
         unit = word.astype(np.float64) / float(1 << 64)  # [0, 1)
         return (2.0 * unit - 1.0) * self.noise_scale
 
+    def log_noise(self, t, states) -> np.ndarray:
+        states = np.atleast_2d(np.asarray(states, dtype=np.uint8))
+        return self._noise(self._bucket(t), states)
+
     def ratio_all(self, t, states) -> np.ndarray:
-        return self.inner.ratio_all(t, states) * np.exp(self.log_noise(t, states))
+        ratios = self.inner.ratio_all(t, states)
+        if self._noise_table is None:
+            return ratios * np.exp(self.log_noise(t, states))
+        D = self.n_bits
+        rows = self._bucket(t) << D | state_to_index(states)  # rows of the flat table
+        return ratios * np.take(self._noise_table.reshape(-1, D), rows, axis=0)
 
 
 def score_entropy_loss(

@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -27,7 +28,7 @@ from hyperbin.sampler import (
     exact_reverse_marginal,
     sample,
 )
-from hyperbin.scores import ExactScoreOracle, ScoreOracle
+from hyperbin.scores import ExactScoreOracle, PerturbedScoreOracle, ScoreOracle
 from hyperbin.verify import euler_law, g_test, uniformization_law
 
 
@@ -422,6 +423,23 @@ class TestSample:
         a, b = runs
         assert np.array_equal(a.states, b.states) and np.array_equal(a.x, b.x)
         assert a.stats.poisson_events == b.stats.poisson_events
+        assert np.array_equal(a.stats.events_per_segment, b.stats.events_per_segment)
+
+    def test_perturbed_thread_count_does_not_change_output(self):
+        # the noise table is shared by the threads, and truncation fires
+        config, oracle, _ = self._instance()
+        tight = replace(config, beta_mode="tight")
+        perturbed = PerturbedScoreOracle(oracle, 1.0, seed=5)
+        assert perturbed.uses_noise_table
+        runs = []
+        for cpus in (1, 2):
+            with mock.patch.object(sampler, "DEFAULT_CHUNK", 1024), mock.patch.object(
+                sampler, "_available_cpus", lambda: cpus
+            ):
+                runs.append(sample(tight, perturbed, 5000))
+        a, b = runs
+        assert np.array_equal(a.states, b.states) and np.array_equal(a.x, b.x)
+        assert a.stats.truncation_activations == b.stats.truncation_activations > 0
         assert np.array_equal(a.stats.events_per_segment, b.stats.events_per_segment)
 
     def test_mean_events_within_poisson_concentration(self):

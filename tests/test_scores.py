@@ -245,25 +245,30 @@ class TestExactOracle:
         assert oracle.uses_shell_table
         heavy = index_to_state(rng.choice(1 << D, 5, replace=False), D)[rng.integers(0, 5, 3000)]
         mixed = rng.integers(0, 2, (700, D), dtype=np.uint8)
-        for states in (heavy, mixed, heavy[:1], heavy[:0]):
+        distinct = all_states(D)[rng.permutation(1 << D)]
+        for states in (heavy, mixed, distinct, heavy[:1], heavy[:0]):
             for t in (0.0, 1.3, 2.0 - 1e-9):
                 shared = oracle.ratio_all(t, states)
                 assert shared.shape == states.shape
                 assert np.array_equal(shared, oracle.ratio_all(np.full(len(states), t), states))
                 assert np.array_equal(shared, chunked.ratio_all(t, states))
 
-    def test_shared_time_queries_report_overflow(self):
+    def test_shared_time_queries_report_overflow(self, monkeypatch):
         support = EmpiricalInitial(
             states=np.array([[0, 0, 0], [1, 1, 0], [0, 1, 1]], np.uint8),
             weights=np.array([0.3, 0.3, 0.4]),
         )
-        # at T - t = 1e-310 the power 1/rho overflows; the oracle's own
-        # check must report it for one shared time as for per-row times
-        oracle = ExactScoreOracle(support, T=1e-310)
-        assert oracle.uses_shell_table
-        for t in (0.0, np.zeros(8)):
-            with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-                oracle.ratio_all(t, all_states(3))
+        # at T - t = 1e-310, 1/rho overflows; on either path the oracle's own
+        # check must report it, for one shared time as for per-row times,
+        # before numpy warns (tier-1 turns a RuntimeWarning into an error)
+        table = ExactScoreOracle(support, T=1e-310)
+        monkeypatch.setattr(scores, "_CHUNK_ELEMENTS", 1)
+        matmul = ExactScoreOracle(support, T=1e-310)
+        assert table.uses_shell_table and not matmul.uses_shell_table
+        for oracle in (table, matmul, PerturbedScoreOracle(table, 0.5, seed=1)):
+            for t in (0.0, np.zeros(8)):
+                with pytest.raises(FloatingPointError):
+                    oracle.ratio_all(t, all_states(3))
 
 
 class TestOracleProperties:
@@ -416,6 +421,33 @@ class TestPerturbedOracle:
         assert digest == self.NOISE_SHA256[D]
         expected = exact.ratio_all(t, states) * np.exp(noise)
         assert np.array_equal(oracle.ratio_all(t, states), expected)
+
+    @pytest.mark.parametrize("D", [1, 4, 6, 8])
+    def test_noise_table_gives_the_hashed_noise(self, D):
+        # at, and one ulp either side of, every bucket edge b T / TIME_BUCKETS,
+        # for one shared time and for per-row times
+        T = 1.7
+        initial = distinct_support(np.random.default_rng(D), D, min(5, 1 << D))
+        oracle = PerturbedScoreOracle(ExactScoreOracle(initial, T), 0.5, seed=D)
+        assert oracle.uses_noise_table
+        edges = np.arange(1, TIME_BUCKETS) * (T / TIME_BUCKETS)
+        below, above = np.nextafter(edges, 0.0), np.nextafter(edges, T)
+        times = np.concatenate(([0.0, np.nextafter(T, 0.0)], edges, below, above))
+        states = all_states(D)
+
+        def hashed(t, rows):
+            return oracle.inner.ratio_all(t, rows) * np.exp(oracle.log_noise(t, rows))
+
+        for t in times:
+            assert np.array_equal(oracle.ratio_all(t, states), hashed(t, states))
+        rows = states[np.arange(len(times)) % len(states)]
+        assert np.array_equal(oracle.ratio_all(times, rows), hashed(times, rows))
+
+    @pytest.mark.parametrize("D, table", [(8, True), (9, False), (70, False)])
+    def test_noise_table_is_chosen_by_D(self, D, table):
+        # the table, TIME_BUCKETS D 2^D float64, is at most 1 MB: D <= 8
+        exact = ExactScoreOracle(random_initial(np.random.default_rng(D), D, 10), 2.0)
+        assert PerturbedScoreOracle(exact, 0.5, seed=1).uses_noise_table == table
 
     @pytest.mark.parametrize("D", [1, 6, 12, 63, 64, 65, 70, 128, 130])
     def test_state_key_matches_weighted_sum_formula(self, D):
