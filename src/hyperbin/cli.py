@@ -237,24 +237,28 @@ def write_samples_csv(path, result: SampleResult, config_hash: str) -> None:
     """Sample table: (replica, state_index, bitstring, x_0..x_{d-1}).
 
     `state_index` is the exact little-endian integer of the bits, so any D
-    works (it exceeds int64 above D = 63)."""
+    works (it exceeds int64 above D = 63). No field needs quoting, so each
+    line is one f-string with the bytes csv.writer would write, and the
+    table goes out in one write; each distinct state's index and bitstring
+    are formatted once."""
     d = result.x.shape[1]
     digits = np.asarray(result.states, dtype=np.uint8) + ord("0")
-    bitstrings = digits.view(f"S{digits.shape[1]}").ravel()
+    bitstrings = digits.view(f"S{digits.shape[1]}").ravel().tolist()
+    label = {bits: f"{int(bits[::-1], 2)},{bits.decode()}" for bits in set(bitstrings)}
+    header = ",".join(["replica", "state_index", "bitstring"] + [f"x_{j}" for j in range(d)])
+    lines = [
+        f"{r},{label[bits]},{','.join(map(repr, x))}\r\n"
+        for r, (bits, x) in enumerate(zip(bitstrings, result.x.tolist()))
+    ]
     with _open_output(path, config_hash) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replica", "state_index", "bitstring"] + [f"x_{j}" for j in range(d)])
-        writer.writerows(
-            [r, int(bits[::-1], 2), bits.decode(), *map(repr, x)]
-            for r, (bits, x) in enumerate(zip(bitstrings, result.x.tolist()))
-        )
+        fh.write("".join([header, "\r\n", *lines]))
 
 
 def write_stats_csv(
     path, partition: TimePartition, stats: RunStats, n_samples: int, config_hash: str
 ) -> None:
     """Per-segment summary: (segment, beta, dt, events_mean, score_evals),
-    from the oracle rows queried per segment (one per replica per Euler step)."""
+    from the rate rows read per segment (one per replica per Euler step)."""
     seg_events = stats.events_per_segment
     means = seg_events / n_samples if n_samples else np.zeros(partition.n_segments)
     rows = zip(partition.betas, np.diff(partition.times), means, seg_events)

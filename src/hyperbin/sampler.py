@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .bits import all_states, index_to_state, state_to_index
 from .chain import EmpiricalInitial, marginal_at, sample_forward
 from .quantizer import QuantizerSpec, dequantize_sample, vbin_decode
 from .scores import ScoreOracle
@@ -181,11 +182,15 @@ class SamplerConfig:
 @dataclass
 class RunStats:
     """Work counters aggregated over replicas. `events_per_segment` counts
-    the oracle rows queried in each segment of the run's partition, and
-    `score_evals` D per row asked for, however the oracle computes it. Under
-    uniformization a row is a Poisson event, counted in `poisson_events`.
-    Euler has no events: it queries every replica once per step and
-    leaves `poisson_events` at 0."""
+    the rate rows read in each segment of the run's partition, one per
+    replica per event or step, and `score_evals` D per row read, however
+    the oracle computes it. Under uniformization a row is a Poisson event,
+    counted in `poisson_events`, and the oracle computes each row read.
+    Euler has no events and leaves `poisson_events` at 0; it counts one
+    row per replica per step, the baseline's cost model, while the oracle
+    computes 2^D rows per step when 2^D is at most the chunk's replicas
+    (see :func:`euler_sample`). The benchmark's traced `scores.rows`
+    counts the rows computed."""
 
     score_evals: int = 0
     poisson_events: int = 0
@@ -233,37 +238,40 @@ def _initial_states(
 
 
 def _jump(
-    states: np.ndarray,
-    rows: np.ndarray,
     rates: np.ndarray,
     beta: float | np.ndarray,
     h: float | None,
     rng: np.random.Generator,
     stats: RunStats,
-) -> None:
-    """One truncate-and-choose-flip step for replicas `rows` of `states`.
+    row_of: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One truncate-and-choose-flip step; returns (hit, flips), the draws
+    that move and the bit each flips, for the caller to apply.
 
-    `rates` (overwritten) holds the oracle's per-flip rates for those rows
-    and `beta` their cap, one for all rows (Euler) or one per row
-    (uniformization, whose rows sit in different segments). Each row's
-    total is capped at its beta; row r then flips bit i with probability
-    rate_i / beta (uniformization, h=None) or h * rate_i, rescaled to total
-    at most 1 and counted in `clipped_steps` (Euler). The work is done on
-    the running sums of the rates (last column: the row total), summed
-    column by column: np.cumsum's additions, without its slow short axis.
-    One uniform is drawn per row, a flip chosen only for rows that move;
-    each rate counts as one score evaluation.
+    `rates` (overwritten) holds one row of per-flip rates per draw, or,
+    with `row_of`, draw j reads row `row_of[j]` (Euler replicas in one
+    state share its row). `beta` is the cap, one for all rows (Euler) or
+    one per row (uniformization, whose rows sit in different segments and
+    map one to one to draws). Each row's total is capped at its beta; a
+    draw then flips bit i with probability rate_i / beta (uniformization,
+    h=None) or h * rate_i, rescaled to total at most 1 and counted in
+    `clipped_steps` (Euler). The work is done on the running sums of the
+    rates (last column: the row total), summed column by column:
+    np.cumsum's additions, without its slow short axis. One uniform is
+    drawn per draw, a flip chosen only for draws that move; truncations,
+    clips and score evaluations (D each) count per draw.
     """
     cum = rates
     for i in range(1, cum.shape[1]):
         cum[:, i] += cum[:, i - 1]
     total = cum[:, -1]  # a view, so it follows every rescaling of cum
+    n_draws = len(cum) if row_of is None else len(row_of)
     over = total > beta
     if over.any():
         cap = np.broadcast_to(beta, total.shape)[over]
         cum[over] *= (cap / total[over])[:, None]
-        stats.truncation_activations += int(over.sum())
-    u = rng.random(len(rows))
+        stats.truncation_activations += _draws_on(over, row_of)
+    u = rng.random(n_draws)
     if h is None:
         u *= beta  # flip when u / beta falls below the capped total
     else:
@@ -271,12 +279,21 @@ def _jump(
         clipped = total > 1.0
         if clipped.any():
             cum[clipped] /= total[clipped][:, None]
-            stats.clipped_steps += int(clipped.sum())
-    hit = np.flatnonzero(u < total)
-    flips = np.argmax(u[hit, None] < cum[hit], axis=1)
-    states[rows[hit], flips] ^= 1
+            stats.clipped_steps += _draws_on(clipped, row_of)
+    if row_of is None:
+        hit = np.flatnonzero(u < total)
+        flips = np.argmax(u[hit, None] < cum[hit], axis=1)
+    else:
+        hit = np.flatnonzero(u < total[row_of])
+        flips = np.argmax(u[hit, None] < cum[row_of[hit]], axis=1)
     stats.accepted_moves += len(hit)
-    stats.score_evals += cum.size
+    stats.score_evals += n_draws * cum.shape[1]
+    return hit, flips
+
+
+def _draws_on(rows: np.ndarray, row_of: np.ndarray | None) -> int:
+    """How many draws read a row marked in the boolean `rows`."""
+    return int(np.count_nonzero(rows if row_of is None else rows[row_of]))
 
 
 def _uniformize_chunk(
@@ -308,7 +325,8 @@ def _uniformize_chunk(
         # every query at or below T - delta.
         t = np.minimum(times[seg] + (clock - ends[seg]) / betas[seg], times[seg + 1])
         rates = oracle.ratio_all(t, states[active])
-        _jump(states, active, rates, betas[seg], None, rng, stats)
+        hit, flips = _jump(rates, betas[seg], None, rng, stats)
+        states[active[hit], flips] ^= 1
         stats.events_per_segment += np.bincount(seg, minlength=partition.n_segments)
         e[active] += rng.standard_exponential(len(active))
         active = active[e[active] < ends[-1]]
@@ -323,11 +341,24 @@ def _euler_chunk(
     states: np.ndarray,
     rng: np.random.Generator,
 ) -> RunStats:
+    """Advance a chunk of replicas over the Euler steps in place, on
+    state indices when 2^D is at most the chunk's replicas (see
+    :func:`euler_sample`)."""
+    D = config.n_bits
     stats = RunStats(events_per_segment=np.full(n_steps, len(states), dtype=np.int64))
-    rows = np.arange(len(states))
     h = (config.T - config.delta) / n_steps
-    for t, _, beta in euler_steps(config, n_steps).segments():
-        _jump(states, rows, oracle.ratio_all(t, states), beta, h, rng, stats)
+    steps = euler_steps(config, n_steps).segments()
+    if (1 << D) > len(states):
+        for t, _, beta in steps:
+            hit, flips = _jump(oracle.ratio_all(t, states), beta, h, rng, stats)
+            states[hit, flips] ^= 1
+        return stats
+    grid = all_states(D)
+    index = state_to_index(states)
+    for t, _, beta in steps:
+        hit, flips = _jump(oracle.ratio_all(t, grid), beta, h, rng, stats, index)
+        index[hit] ^= 1 << flips
+    states[:] = index_to_state(index, D)
     return stats
 
 
@@ -394,7 +425,13 @@ def euler_sample(
     each step the state jumps to neighbor i with probability h * rate_i
     (rescaled to total at most 1, rescaling counted in `clipped_steps`).
     Biased for finite n_steps, converging to the uniformization law as
-    n_steps grows. Chunking and threads are as in :func:`sample`."""
+    n_steps grows. Chunking and threads are as in :func:`sample`.
+
+    Replicas in one state share its rates at a step. So a chunk of at
+    least 2^D replicas (D <= 16 at DEFAULT_CHUNK) asks the oracle for all
+    2^D states once per step; a smaller chunk asks for its replicas' own
+    rows, never more rows than replicas. The rule follows from the sizes
+    alone, and both sides give the same output bits."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     _check_oracle(config, oracle)

@@ -133,8 +133,11 @@ class ExactScoreOracle(ScoreOracle):
     into one (B, D + 1, D + 1) workspace per thread (the sampler's threads
     share an oracle), in chunks of 2^18 shells. At B = 65536 chunks of
     2^18 ran 1.1x (D = 6) to 1.5x (D = 12) faster than chunks of 2^24.
-    A scalar-t query (each Euler step, the exact-law helpers) looks each
-    distinct state up once: 2000 rows at D = 6 take 143 us, 380 us per-row.
+    A scalar-t query looks each distinct state up once: 2000 rows at D = 6
+    take 143 us, 380 us per-row. Its callers are the Euler steps, the
+    exact-law helpers and score_entropy_loss; all of them but Euler's
+    per-row path (2^D above a chunk's replicas) ask for all_states(D), so
+    only that path sends repeated rows.
     Finding the distinct states takes O(B) through a per-thread (2^D,)
     lookup: 5 us on 64 distinct rows, 36 us on 2000 rows of 64 states and
     25 us on 4096 distinct rows, where np.unique took 16, 71 and 57 us

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import re
@@ -503,8 +504,16 @@ class TestFileFormats:
                 f"0,1180591620717411303423,{'1' * 70},-0.0\r\n"
                 f"1,590295810358705651712,{'0' * 69}1,1e+300\r\n",
             ),
+            (np.empty((0, 3)), np.empty((0, 2)), "replica,state_index,bitstring,x_0,x_1\r\n"),
+            (
+                [[1], [0]],
+                [[5e-324, 1e16, 1 / 3], [-1 / 3, -1e16, -5e-324]],
+                "replica,state_index,bitstring,x_0,x_1,x_2\r\n"
+                "0,1,1,5e-324,1e+16,0.3333333333333333\r\n"
+                "1,0,0,-0.3333333333333333,-1e+16,-5e-324\r\n",
+            ),
         ],
-        ids=["D3", "D70"],
+        ids=["D3", "D70", "empty", "D1-d3"],
     )
     def test_samples_csv_bytes(self, tmp_path, states, x, rows):
         result = SampleResult(
@@ -512,6 +521,22 @@ class TestFileFormats:
         )
         write_samples_csv(tmp_path / "samples.csv", result, self.HASH)
         assert (tmp_path / "samples.csv").read_bytes() == (self.HEADER + rows).encode()
+
+    @pytest.mark.parametrize("D", [6, 64, 80])
+    def test_samples_csv_matches_the_csv_module(self, tmp_path, D):
+        # the writer as it was with csv.writer: the same bytes on random rows
+        gen = np.random.default_rng(D)
+        states = gen.integers(0, 2, (300, D), dtype=np.uint8)
+        x = gen.standard_normal((300, 2)) * 10.0 ** gen.integers(-320, 300, (300, 2))
+        write_samples_csv(tmp_path / "samples.csv", SampleResult(x, states, RunStats()), self.HASH)
+        want = io.StringIO(newline="")
+        want.write(self.HEADER)
+        writer = csv.writer(want)
+        writer.writerow(["replica", "state_index", "bitstring", "x_0", "x_1"])
+        for r, (row, point) in enumerate(zip(states.tolist(), x.tolist())):
+            bits = "".join(map(str, row))
+            writer.writerow([r, int(bits[::-1], 2), bits, *map(repr, point)])
+        assert (tmp_path / "samples.csv").read_bytes() == want.getvalue().encode()
 
     @pytest.mark.parametrize(
         "events, rows",

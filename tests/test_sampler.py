@@ -1,6 +1,6 @@
 import csv
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -25,6 +25,7 @@ from hyperbin.sampler import (
     beta_value,
     build_partition,
     euler_sample,
+    euler_steps,
     exact_reverse_marginal,
     sample,
 )
@@ -196,6 +197,17 @@ def jump_reference(states, rows, rates, beta, h, rng, stats):
     stats.score_evals += cum.size
 
 
+def euler_reference(oracle, config, n_steps, states, rng):
+    """The per-row body of `sampler._euler_chunk`: every step rates each
+    replica's own row and runs :func:`jump_reference` on all of them."""
+    stats = RunStats(events_per_segment=np.full(n_steps, len(states), dtype=np.int64))
+    rows = np.arange(len(states))
+    h = (config.T - config.delta) / n_steps
+    for t, _, beta in euler_steps(config, n_steps).segments():
+        jump_reference(states, rows, oracle.ratio_all(t, states), beta, h, rng, stats)
+    return stats
+
+
 def assert_independent_flip_law(states, rates, dt):
     """Under constant per-bit rates each bit flips as its own Poisson
     process, so from all-zero states P(bit i = 1) = (1 - e^(-2 r_i dt)) / 2."""
@@ -260,7 +272,8 @@ class TestTruncatedRates:
             seed = int(gen.integers(1 << 32))
             got_states, want_states = states.copy(), states.copy()
             got, want = RunStats(), RunStats()
-            _jump(got_states, rows, rates.copy(), beta, h, np.random.default_rng(seed), got)
+            hit, flips = _jump(rates.copy(), beta, h, np.random.default_rng(seed), got)
+            got_states[rows[hit], flips] ^= 1
             jump_reference(
                 want_states, rows, rates.copy(), beta, h, np.random.default_rng(seed), want
             )
@@ -607,6 +620,62 @@ class TestEulerSample:
         oracle = FixedRateOracle([50.0] * 4, T=2.5)
         result = euler_sample(self.config, oracle, 1, 100)
         assert result.stats.clipped_steps > 0
+
+    @pytest.mark.parametrize(
+        "D, n, oracle_kind, n_steps, chunk",
+        [
+            # replicas below and above 2^D, on both exact-oracle paths
+            (1, 1, "table", 16, None),
+            (1, 50, "table", 16, None),
+            (4, 10, "table", 16, None),
+            (4, 100, "table", 16, None),
+            (6, 40, "table", 16, None),
+            (6, 300, "table", 16, None),
+            (6, 300, "matmul", 16, None),
+            # the tight cap under a noisy oracle: truncation fires
+            (4, 10, "perturbed", 64, None),
+            (4, 200, "perturbed", 64, None),
+            (6, 300, "perturbed", 64, None),
+            # overlong steps: clipping fires
+            (1, 50, "fixed", 2, None),
+            (4, 10, "fixed", 2, None),
+            (4, 100, "fixed", 2, None),
+            # an empty run
+            (6, 0, "table", 16, None),
+            # chunks of 64, 64, 64 and 58 replicas: both sides of 2^D = 64
+            (6, 250, "table", 16, 64),
+            (6, 250, "perturbed", 64, 64),
+        ],
+    )
+    def test_matches_the_per_row_reference(self, D, n, oracle_kind, n_steps, chunk):
+        T = 2.5
+        config = SamplerConfig(
+            spec=QuantizerSpec.from_grid(d=1, L=1.0, K=1 << D), T=T, delta=0.05, seed=7,
+            beta_mode="tight" if oracle_kind == "perturbed" else "standard",
+        )
+        gen = np.random.default_rng(D)
+        if oracle_kind == "fixed":
+            oracle = FixedRateOracle([50.0] * D, T=T)
+        else:
+            support = 3 if oracle_kind == "matmul" else 12
+            oracle = ExactScoreOracle(random_initial(gen, D, support), T)
+            assert oracle.uses_shell_table == (oracle_kind != "matmul")
+            if oracle_kind == "perturbed":
+                oracle = PerturbedScoreOracle(oracle, 1.0, seed=3)
+        with mock.patch.object(sampler, "DEFAULT_CHUNK", chunk or sampler.DEFAULT_CHUNK):
+            got = euler_sample(config, oracle, n_steps, n)
+            with mock.patch.object(sampler, "_euler_chunk", euler_reference):
+                want = euler_sample(config, oracle, n_steps, n)
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.x, want.x)
+        for field in fields(RunStats):
+            assert np.array_equal(getattr(got.stats, field.name), getattr(want.stats, field.name))
+        assert want.stats.score_evals == n * n_steps * D
+        # each case reaches the branches it is named for
+        if n and oracle_kind in ("perturbed", "fixed"):
+            assert want.stats.truncation_activations > 0
+        if n and oracle_kind == "fixed":
+            assert want.stats.clipped_steps > 0
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
