@@ -42,6 +42,8 @@ from .sampler import (
 from .scores import ExactScoreOracle
 
 SAMPLE_METHODS = ("uniformization", "euler")
+# samples.csv rows formatted per write call; bounds the writer's memory.
+_SAMPLE_ROWS_PER_WRITE = 4096
 
 
 class ConfigError(ValueError):
@@ -238,20 +240,21 @@ def write_samples_csv(path, result: SampleResult, config_hash: str) -> None:
 
     `state_index` is the exact little-endian integer of the bits, so any D
     works (it exceeds int64 above D = 63). No field needs quoting, so each
-    line is one f-string with the bytes csv.writer would write, and the
-    table goes out in one write; each distinct state's index and bitstring
-    are formatted once."""
-    d = result.x.shape[1]
+    line is one f-string with the bytes csv.writer would write. Rows are
+    formatted and written in blocks of _SAMPLE_ROWS_PER_WRITE, so memory
+    does not grow with the number of rows."""
     digits = np.asarray(result.states, dtype=np.uint8) + ord("0")
-    bitstrings = digits.view(f"S{digits.shape[1]}").ravel().tolist()
-    label = {bits: f"{int(bits[::-1], 2)},{bits.decode()}" for bits in set(bitstrings)}
-    header = ",".join(["replica", "state_index", "bitstring"] + [f"x_{j}" for j in range(d)])
-    lines = [
-        f"{r},{label[bits]},{','.join(map(repr, x))}\r\n"
-        for r, (bits, x) in enumerate(zip(bitstrings, result.x.tolist()))
-    ]
+    bitstrings = digits.view(f"S{digits.shape[1]}").ravel()
+    header = ["replica", "state_index", "bitstring"] + [f"x_{j}" for j in range(result.x.shape[1])]
     with _open_output(path, config_hash) as fh:
-        fh.write("".join([header, "\r\n", *lines]))
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(bitstrings), _SAMPLE_ROWS_PER_WRITE):
+            hi = lo + _SAMPLE_ROWS_PER_WRITE
+            rows = zip(range(lo, hi), bitstrings[lo:hi].tolist(), result.x[lo:hi].tolist())
+            fh.writelines(
+                f"{r},{int(bits[::-1], 2)},{bits.decode()},{','.join(map(repr, x))}\r\n"
+                for r, bits, x in rows
+            )
 
 
 def write_stats_csv(

@@ -33,6 +33,16 @@ BETA_MODES = ("standard", "tight")
 BATCH_THRESHOLD = 512
 # Replicas per chunk; each chunk has its own RNG stream.
 DEFAULT_CHUNK = 1 << 16
+# An Euler chunk of at least this many replicas per state (B >= 4 * 2^D)
+# rates all 2^D states each step; a smaller one rates its replicas' rows,
+# of which the exact oracle computes only the distinct states. Against
+# the per-row loop (2-vCPU Xeon VM, numpy 2.4.6, one BLAS thread), a
+# table-path oracle on a sharply concentrated support ran 0.76-0.83x at
+# 1 replica per state (D = 10, 12), 1.05x at 2 and 1.2-1.4x at 3; the
+# matmul path and the perturbed oracle ran 0.94-0.97x at 1. At 4, every
+# measured shape (D = 8-14, both exact paths and the perturbed oracle)
+# ran 1.27-4.9x faster.
+EULER_STATE_PATH_REPLICAS = 4
 
 
 def beta_value(D: int, T: float, t, mode: str = "standard"):
@@ -188,9 +198,9 @@ class RunStats:
     counted in `poisson_events`, and the oracle computes each row read.
     Euler has no events and leaves `poisson_events` at 0; it counts one
     row per replica per step, the baseline's cost model, while the oracle
-    computes 2^D rows per step when 2^D is at most the chunk's replicas
-    (see :func:`euler_sample`). The benchmark's traced `scores.rows`
-    counts the rows computed."""
+    computes 2^D rows per step when the chunk holds at least
+    EULER_STATE_PATH_REPLICAS replicas per state (see :func:`euler_sample`).
+    The benchmark's traced `scores.rows` counts the rows computed."""
 
     score_evals: int = 0
     poisson_events: int = 0
@@ -342,13 +352,13 @@ def _euler_chunk(
     rng: np.random.Generator,
 ) -> RunStats:
     """Advance a chunk of replicas over the Euler steps in place, on
-    state indices when 2^D is at most the chunk's replicas (see
-    :func:`euler_sample`)."""
+    state indices when the chunk holds at least EULER_STATE_PATH_REPLICAS
+    replicas per state (see :func:`euler_sample`)."""
     D = config.n_bits
     stats = RunStats(events_per_segment=np.full(n_steps, len(states), dtype=np.int64))
     h = (config.T - config.delta) / n_steps
     steps = euler_steps(config, n_steps).segments()
-    if (1 << D) > len(states):
+    if len(states) < EULER_STATE_PATH_REPLICAS << D:
         for t, _, beta in steps:
             hit, flips = _jump(oracle.ratio_all(t, states), beta, h, rng, stats)
             states[hit, flips] ^= 1
@@ -428,10 +438,10 @@ def euler_sample(
     n_steps grows. Chunking and threads are as in :func:`sample`.
 
     Replicas in one state share its rates at a step. So a chunk of at
-    least 2^D replicas (D <= 16 at DEFAULT_CHUNK) asks the oracle for all
-    2^D states once per step; a smaller chunk asks for its replicas' own
-    rows, never more rows than replicas. The rule follows from the sizes
-    alone, and both sides give the same output bits."""
+    least EULER_STATE_PATH_REPLICAS * 2^D replicas (D <= 14 at
+    DEFAULT_CHUNK) asks the oracle for all 2^D states once per step; a
+    smaller chunk asks for its replicas' own rows. The rule follows from
+    the sizes alone, and both sides give the same output bits."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     _check_oracle(config, oracle)

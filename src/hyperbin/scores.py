@@ -136,8 +136,8 @@ class ExactScoreOracle(ScoreOracle):
     A scalar-t query looks each distinct state up once: 2000 rows at D = 6
     take 143 us, 380 us per-row. Its callers are the Euler steps, the
     exact-law helpers and score_entropy_loss; all of them but Euler's
-    per-row path (2^D above a chunk's replicas) ask for all_states(D), so
-    only that path sends repeated rows.
+    per-row path (chunks of fewer than 4 * 2^D replicas) ask for
+    all_states(D), so only that path sends repeated rows.
     Finding the distinct states takes O(B) through a per-thread (2^D,)
     lookup: 5 us on 64 distinct rows, 36 us on 2000 rows of 64 states and
     25 us on 4096 distinct rows, where np.unique took 16, 71 and 57 us

@@ -522,9 +522,13 @@ class TestFileFormats:
         write_samples_csv(tmp_path / "samples.csv", result, self.HASH)
         assert (tmp_path / "samples.csv").read_bytes() == (self.HEADER + rows).encode()
 
+    @pytest.mark.parametrize("rows_per_write", [7, None])
     @pytest.mark.parametrize("D", [6, 64, 80])
-    def test_samples_csv_matches_the_csv_module(self, tmp_path, D):
-        # the writer as it was with csv.writer: the same bytes on random rows
+    def test_samples_csv_matches_the_csv_module(self, tmp_path, monkeypatch, D, rows_per_write):
+        # the writer as it was with csv.writer: the same bytes on random rows,
+        # also when they go out in blocks of 7 (the last one short)
+        if rows_per_write:
+            monkeypatch.setattr("hyperbin.cli._SAMPLE_ROWS_PER_WRITE", rows_per_write)
         gen = np.random.default_rng(D)
         states = gen.integers(0, 2, (300, D), dtype=np.uint8)
         x = gen.standard_normal((300, 2)) * 10.0 ** gen.integers(-320, 300, (300, 2))

@@ -624,13 +624,16 @@ class TestEulerSample:
     @pytest.mark.parametrize(
         "D, n, oracle_kind, n_steps, chunk",
         [
-            # replicas below and above 2^D, on both exact-oracle paths
+            # replicas below and above 4 * 2^D, on both exact-oracle paths
             (1, 1, "table", 16, None),
             (1, 50, "table", 16, None),
             (4, 10, "table", 16, None),
+            (4, 63, "table", 16, None),
+            (4, 64, "table", 16, None),
             (4, 100, "table", 16, None),
             (6, 40, "table", 16, None),
             (6, 300, "table", 16, None),
+            (6, 100, "matmul", 16, None),
             (6, 300, "matmul", 16, None),
             # the tight cap under a noisy oracle: truncation fires
             (4, 10, "perturbed", 64, None),
@@ -642,9 +645,9 @@ class TestEulerSample:
             (4, 100, "fixed", 2, None),
             # an empty run
             (6, 0, "table", 16, None),
-            # chunks of 64, 64, 64 and 58 replicas: both sides of 2^D = 64
-            (6, 250, "table", 16, 64),
-            (6, 250, "perturbed", 64, 64),
+            # chunks of 256, 256 and 88 replicas: both sides of 4 * 2^D = 256
+            (6, 600, "table", 16, 256),
+            (6, 600, "perturbed", 64, 256),
         ],
     )
     def test_matches_the_per_row_reference(self, D, n, oracle_kind, n_steps, chunk):
@@ -676,6 +679,17 @@ class TestEulerSample:
             assert want.stats.truncation_activations > 0
         if n and oracle_kind == "fixed":
             assert want.stats.clipped_steps > 0
+
+    @pytest.mark.parametrize("n, table_chunks", [(63, 0), (64, 1), (200, 3)])
+    def test_state_table_needs_four_replicas_per_state(self, n, table_chunks):
+        # D = 4: a chunk of at least 4 * 16 replicas builds the 16-state
+        # grid once and rates it at every step; in chunks of 64, n = 200
+        # runs three such chunks and one of 8 replicas on the per-row path
+        with mock.patch.object(sampler, "DEFAULT_CHUNK", 64), mock.patch.object(
+            sampler, "all_states", wraps=sampler.all_states
+        ) as spy:
+            euler_sample(self.config, self.oracle, 8, n)
+        assert spy.call_count == table_chunks
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
