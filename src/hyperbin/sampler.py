@@ -37,11 +37,11 @@ DEFAULT_CHUNK = 1 << 16
 # rates all 2^D states each step; a smaller one rates its replicas' rows,
 # of which the exact oracle computes only the distinct states. Against
 # the per-row loop (2-vCPU Xeon VM, numpy 2.4.6, one BLAS thread), a
-# table-path oracle on a sharply concentrated support ran 0.76-0.83x at
-# 1 replica per state (D = 10, 12), 1.05x at 2 and 1.2-1.4x at 3; the
-# matmul path and the perturbed oracle ran 0.94-0.97x at 1. At 4, every
-# measured shape (D = 8-14, both exact paths and the perturbed oracle)
-# ran 1.27-4.9x faster.
+# table-path oracle on a concentrated support ran 0.71-0.86x at 1 replica
+# per state (D = 10, 12), 1.05-1.19x at 2 and 1.2-1.4x at 3; the matmul
+# path and the perturbed oracle ran 0.94-0.97x at 1. At 4, every measured
+# shape (D = 8-14, both exact paths and the perturbed oracle) ran
+# 1.27-4.9x faster.
 EULER_STATE_PATH_REPLICAS = 4
 
 
