@@ -334,7 +334,8 @@ def cmd_sample(args) -> int:
     save_spec(spec, out / "spec.json", chash)
     print(
         f"wrote {n_samples} samples to {out / 'samples.csv'} "
-        f"(events={result.stats.poisson_events}, score_evals={result.stats.score_evals})"
+        f"(events={result.stats.poisson_events}, score_evals={result.stats.score_evals}, "
+        f"queried_rows={result.stats.queried_rows})"
     )
     return 0
 

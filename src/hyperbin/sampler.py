@@ -10,13 +10,18 @@ flips bit i with probability rate_i / beta (rates rescaled to total at
 most beta), else stays put. Because beta upper-bounds the true total
 rate, the simulated law matches the reverse chain exactly; a fixed-step
 Euler discretization is included as a biased baseline.
+
+An event whose uniform u has u * beta at or above a bound on its row's
+total rate cannot move, so when the oracle offers such bounds
+(`total_bounds`, see :class:`ScoreOracle`) its query is skipped (thinning,
+Lewis & Shedler 1979). The cost model still counts D score evaluations per
+event; the rows actually queried are counted apart.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -191,18 +196,19 @@ class SamplerConfig:
 
 @dataclass
 class RunStats:
-    """Work counters aggregated over replicas. `events_per_segment` counts
-    the rate rows read in each segment of the run's partition, one per
-    replica per event or step, and `score_evals` D per row read, however
-    the oracle computes it. Under uniformization a row is a Poisson event,
-    counted in `poisson_events`, and the oracle computes each row read.
-    Euler has no events and leaves `poisson_events` at 0; it counts one
-    row per replica per step, the baseline's cost model, while the oracle
-    computes 2^D rows per step when the chunk holds at least
-    EULER_STATE_PATH_REPLICAS replicas per state (see :func:`euler_sample`).
-    The benchmark's traced `scores.rows` counts the rows computed."""
+    """Work counters aggregated over replicas. `events_per_segment` counts,
+    in each segment of the run's partition, one rate row per replica per
+    Poisson event (uniformization, also counted in `poisson_events`) or per
+    step (Euler, which leaves `poisson_events` at 0). `score_evals` is the
+    cost model: D per such row, whether or not the oracle was asked for it.
+    `queried_rows` counts the rows passed to the oracle's `ratio_all`:
+    under uniformization only the events that a rate bound could not rule
+    out, and under Euler 2^D per step on the state path (at least
+    EULER_STATE_PATH_REPLICAS replicas per state, see :func:`euler_sample`)
+    or one per replica per step otherwise."""
 
     score_evals: int = 0
+    queried_rows: int = 0
     poisson_events: int = 0
     accepted_moves: int = 0
     truncation_activations: int = 0
@@ -251,7 +257,7 @@ def _jump(
     rates: np.ndarray,
     beta: float | np.ndarray,
     h: float | None,
-    rng: np.random.Generator,
+    u: np.ndarray,
     stats: RunStats,
     row_of: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -267,21 +273,19 @@ def _jump(
     h=None) or h * rate_i, rescaled to total at most 1 and counted in
     `clipped_steps` (Euler). The work is done on the running sums of the
     rates (last column: the row total), summed column by column:
-    np.cumsum's additions, without its slow short axis. One uniform is
-    drawn per draw, a flip chosen only for draws that move; truncations,
-    clips and score evaluations (D each) count per draw.
+    np.cumsum's additions, without its slow short axis. `u` (overwritten)
+    holds one uniform on [0, 1) per draw, a flip is chosen only for draws
+    that move, and truncations and clips count per draw.
     """
     cum = rates
     for i in range(1, cum.shape[1]):
         cum[:, i] += cum[:, i - 1]
     total = cum[:, -1]  # a view, so it follows every rescaling of cum
-    n_draws = len(cum) if row_of is None else len(row_of)
     over = total > beta
     if over.any():
         cap = np.broadcast_to(beta, total.shape)[over]
         cum[over] *= (cap / total[over])[:, None]
         stats.truncation_activations += _draws_on(over, row_of)
-    u = rng.random(n_draws)
     if h is None:
         u *= beta  # flip when u / beta falls below the capped total
     else:
@@ -297,7 +301,6 @@ def _jump(
         hit = np.flatnonzero(u < total[row_of])
         flips = np.argmax(u[hit, None] < cum[row_of[hit]], axis=1)
     stats.accepted_moves += len(hit)
-    stats.score_evals += n_draws * cum.shape[1]
     return hit, flips
 
 
@@ -311,6 +314,7 @@ def _uniformize_chunk(
     partition: TimePartition,
     states: np.ndarray,
     rng: np.random.Generator,
+    bounds: np.ndarray | None = None,
 ) -> RunStats:
     """Advance a chunk of replicas over the whole partition in place.
 
@@ -322,25 +326,49 @@ def _uniformize_chunk(
     queries every replica whose clock is still below Lambda(T - delta),
     each at its own time and under its own segment's cap, so the number
     of passes is the largest event count of any replica over the run.
+
+    Each pass draws the events' uniforms before it queries. With
+    `bounds` (W, 2^D), from the oracle's `total_bounds`, it queries only
+    the rows whose u * beta falls below their state's bound on their
+    segment; the rest cannot move, as the flip test is u * beta < total
+    <= bound. The oracle draws no random numbers, so the stream, the
+    states and every counter but `queried_rows` are those of querying
+    every row. State indices are kept beside `states` to read the bounds.
     """
     times, betas = partition.times, partition.betas
+    D, W = states.shape[1], partition.n_segments
     ends = np.concatenate(([0.0], np.cumsum(betas * np.diff(times))))  # Lambda(t_w)
-    stats = RunStats(events_per_segment=np.zeros(partition.n_segments, dtype=np.int64))
+    stats = RunStats(events_per_segment=np.zeros(W, dtype=np.int64))
     e = rng.standard_exponential(len(states))
     active = np.flatnonzero(e < ends[-1])
+    if bounds is not None:
+        bounds = bounds.ravel()
+        index = state_to_index(states)
     while len(active):
         clock = e[active]
         seg = np.searchsorted(ends, clock, "right") - 1
-        # Rounding may carry a time past its segment's end; clamping keeps
-        # every query at or below T - delta.
-        t = np.minimum(times[seg] + (clock - ends[seg]) / betas[seg], times[seg + 1])
-        rates = oracle.ratio_all(t, states[active])
-        hit, flips = _jump(rates, betas[seg], None, rng, stats)
-        states[active[hit], flips] ^= 1
-        stats.events_per_segment += np.bincount(seg, minlength=partition.n_segments)
+        stats.events_per_segment += np.bincount(seg, minlength=W)
+        u = rng.random(len(active))
+        rows = active
+        if bounds is not None:
+            # "not >=" so that a NaN bound queries
+            ask = np.flatnonzero(~(u * betas[seg] >= bounds[seg << D | index[active]]))
+            rows, clock, seg, u = active[ask], clock[ask], seg[ask], u[ask]
+        if len(rows):
+            # Rounding may carry a time past its segment's end; clamping
+            # keeps every query at or below T - delta.
+            t = np.minimum(times[seg] + (clock - ends[seg]) / betas[seg], times[seg + 1])
+            rates = oracle.ratio_all(t, states[rows])
+            hit, flips = _jump(rates, betas[seg], None, u, stats)
+            moved = rows[hit]
+            states[moved, flips] ^= 1
+            if bounds is not None:
+                index[moved] ^= 1 << flips
+        stats.queried_rows += len(rows)
         e[active] += rng.standard_exponential(len(active))
         active = active[e[active] < ends[-1]]
     stats.poisson_events = int(stats.events_per_segment.sum())
+    stats.score_evals = D * stats.poisson_events
     return stats
 
 
@@ -355,18 +383,25 @@ def _euler_chunk(
     state indices when the chunk holds at least EULER_STATE_PATH_REPLICAS
     replicas per state (see :func:`euler_sample`)."""
     D = config.n_bits
-    stats = RunStats(events_per_segment=np.full(n_steps, len(states), dtype=np.int64))
+    n = len(states)
+    stats = RunStats(
+        score_evals=n_steps * n * D, events_per_segment=np.full(n_steps, n, dtype=np.int64)
+    )
     h = (config.T - config.delta) / n_steps
     steps = euler_steps(config, n_steps).segments()
-    if len(states) < EULER_STATE_PATH_REPLICAS << D:
+    if n < EULER_STATE_PATH_REPLICAS << D:
+        stats.queried_rows = n_steps * n
         for t, _, beta in steps:
-            hit, flips = _jump(oracle.ratio_all(t, states), beta, h, rng, stats)
+            u = rng.random(n)
+            hit, flips = _jump(oracle.ratio_all(t, states), beta, h, u, stats)
             states[hit, flips] ^= 1
         return stats
+    stats.queried_rows = n_steps << D
     grid = all_states(D)
     index = state_to_index(states)
     for t, _, beta in steps:
-        hit, flips = _jump(oracle.ratio_all(t, grid), beta, h, rng, stats, index)
+        u = rng.random(n)
+        hit, flips = _jump(oracle.ratio_all(t, grid), beta, h, u, stats, index)
         index[hit] ^= 1 << flips
     states[:] = index_to_state(index, D)
     return stats
@@ -401,6 +436,10 @@ def _run_chunks(config, oracle, n_samples, runner, rng_tag):
 
     workers = min(len(bounds), _available_cpus())
     if workers > 1:
+        # imported here: concurrent.futures loads logging, about 0.5 MB
+        # resident that a run of one chunk never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunk_stats = list(pool.map(run_one, range(len(bounds))))
     else:
@@ -424,7 +463,10 @@ def sample(config: SamplerConfig, oracle: ScoreOracle, n_samples: int) -> Sample
     """
     _check_oracle(config, oracle)
     partition = config.partition()
-    runner = lambda states, rng: _uniformize_chunk(oracle, partition, states, rng)
+    # One bound table per call, read by every chunk's thread.
+    total_bounds = getattr(oracle, "total_bounds", None)
+    bounds = None if total_bounds is None else total_bounds(partition.times)
+    runner = lambda states, rng: _uniformize_chunk(oracle, partition, states, rng, bounds)
     return _run_chunks(config, oracle, n_samples, runner, rng_tag=2)
 
 

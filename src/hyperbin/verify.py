@@ -174,9 +174,11 @@ def check_c03(scale: str, seed: int) -> list[CheckRow]:
 def check_c04(scale: str, seed: int) -> list[CheckRow]:
     """Partition grids are valid, with caps at segment right endpoints,
     their expected event counts stay within the nominal budget, the
-    sampler's event count is Poisson-correct, and every event costs D
-    score evaluations (same sizes at both scales; the sampler runs with
-    seed 11 at full scale and `seed` at quick)."""
+    sampler's event count is Poisson-correct, and its cost model counts D
+    score evaluations per event, whether or not thinning queried the event
+    (`RunStats.queried_rows` counts the queried rows apart). Same sizes at
+    both scales; the sampler runs with seed 11 at full scale and `seed` at
+    quick."""
     rng = np.random.default_rng(seed)
     worst, invalid, draws, min_delta = 0.0, 0, 50, 0.03
     for _ in range(draws):

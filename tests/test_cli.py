@@ -218,7 +218,8 @@ class TestSampleCommand:
         path = write_config(tmp_path / "euler.json", {**config, "n_steps": 16})
         out = tmp_path / "euler"
         assert main(["sample", "--config", path, "--out", str(out), "--method", "euler"]) == 0
-        printed = int(re.search(r"score_evals=(\d+)", capsys.readouterr().out).group(1))
+        found = re.search(r"score_evals=(\d+), queried_rows=(\d+)", capsys.readouterr().out)
+        printed, queried = (int(g) for g in found.groups())
         with open(out / "stats.csv", newline="") as fh:
             rows = [r for r in csv.reader(fh) if not r[0].startswith("#")][1:]
         spec = build_quantizer_spec(config)
@@ -230,6 +231,8 @@ class TestSampleCommand:
         assert [float(r[2]) for r in rows] == pytest.approx([h] * 16, rel=1e-12)
         assert all(float(r[3]) == 1.0 for r in rows)
         assert sum(int(r[4]) for r in rows) == printed == 400 * 16 * spec.n_bits
+        # 400 replicas hold at least 4 per state, so each step rates the 8 states
+        assert queried == 16 * 8
 
     def test_gaussian_mixture_target(self, tmp_path):
         config = write_config(

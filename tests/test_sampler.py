@@ -30,7 +30,7 @@ from hyperbin.sampler import (
     sample,
 )
 from hyperbin.scores import ExactScoreOracle, PerturbedScoreOracle, ScoreOracle
-from hyperbin.verify import euler_law, g_test, uniformization_law
+from hyperbin.verify import d6_instance, euler_law, g_test, uniformization_law
 
 
 class FixedRateOracle(ScoreOracle):
@@ -194,14 +194,17 @@ def jump_reference(states, rows, rates, beta, h, rng, stats):
     flips = np.argmax(u[:, None] < cum, axis=1)
     states[rows[moved], flips[moved]] ^= 1
     stats.accepted_moves += int(moved.sum())
-    stats.score_evals += cum.size
 
 
 def euler_reference(oracle, config, n_steps, states, rng):
     """The per-row body of `sampler._euler_chunk`: every step rates each
     replica's own row and runs :func:`jump_reference` on all of them."""
-    stats = RunStats(events_per_segment=np.full(n_steps, len(states), dtype=np.int64))
-    rows = np.arange(len(states))
+    n, D = states.shape
+    stats = RunStats(
+        score_evals=n_steps * n * D, queried_rows=n_steps * n,
+        events_per_segment=np.full(n_steps, n, dtype=np.int64),
+    )
+    rows = np.arange(n)
     h = (config.T - config.delta) / n_steps
     for t, _, beta in euler_steps(config, n_steps).segments():
         jump_reference(states, rows, oracle.ratio_all(t, states), beta, h, rng, stats)
@@ -272,14 +275,14 @@ class TestTruncatedRates:
             seed = int(gen.integers(1 << 32))
             got_states, want_states = states.copy(), states.copy()
             got, want = RunStats(), RunStats()
-            hit, flips = _jump(rates.copy(), beta, h, np.random.default_rng(seed), got)
+            u = np.random.default_rng(seed).random(B)
+            hit, flips = _jump(rates.copy(), beta, h, u, got)
             got_states[rows[hit], flips] ^= 1
             jump_reference(
                 want_states, rows, rates.copy(), beta, h, np.random.default_rng(seed), want
             )
             assert np.array_equal(got_states, want_states)
             assert got == want
-            assert want.score_evals == B * D
             # each case reaches the branches it is named for
             assert (want.accepted_moves > 0) == (scale > 0)
             assert (want.truncation_activations > 0) == (scale > 0)
@@ -528,10 +531,55 @@ class TestSample:
             assert tv_exact(np.bincount(index, minlength=spec.K) / n, target) < bound
 
 
+class HiddenBounds(ScoreOracle):
+    """Delegates `ratio_all` and the contract's attributes only, so
+    `sample` sees no `total_bounds` and queries every event."""
+
+    def __init__(self, inner):
+        self.inner, self.T, self.n_bits = inner, inner.T, inner.n_bits
+        self.initial = inner.initial
+
+    def ratio_all(self, t, states):
+        return self.inner.ratio_all(t, states)
+
+
+class ForwardingProxy(ScoreOracle):
+    """Forwards every attribute it lacks to the wrapped oracle, as the
+    benchmark's tracing proxy does."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, attr):
+        return getattr(self._inner, attr)
+
+    def ratio_all(self, t, states):
+        return self._inner.ratio_all(t, states)
+
+
+def assert_thinning_is_exact(config, oracle, n):
+    """Run `sample` with the oracle's bounds and without them: the outputs
+    and every counter but `queried_rows` agree. Returns the thinned stats."""
+    thinned = sample(config, oracle, n)
+    full = sample(config, HiddenBounds(oracle), n)
+    assert np.array_equal(thinned.states, full.states)
+    assert np.array_equal(thinned.x, full.x)
+    for field in fields(RunStats):
+        if field.name != "queried_rows":
+            assert np.array_equal(getattr(thinned.stats, field.name), getattr(full.stats, field.name))
+    assert full.stats.queried_rows == full.stats.poisson_events
+    st = thinned.stats
+    assert st.queried_rows <= st.poisson_events
+    # with enough events some of them skip, unless no bound is offered
+    if st.poisson_events >= 50:
+        assert (st.queried_rows < st.poisson_events) == oracle.uses_shell_table
+    return st
+
+
 class TestKernelProperties:
     @given(
         D=st.integers(1, 8),
-        support=st.integers(1, 6),
+        support=st.integers(1, 20),
         n=st.integers(1, 600),
         chunk=st.integers(16, 256),
         seed=st.integers(0, 2**32 - 1),
@@ -539,7 +587,8 @@ class TestKernelProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_work_counters(self, D, support, n, chunk, seed, tight):
-        # n spans small runs and several chunks of a shrunken DEFAULT_CHUNK
+        # n spans small runs and several chunks of a shrunken DEFAULT_CHUNK;
+        # supports of 16 or more points put every D on the bounded table path
         rng = np.random.default_rng(seed)
         initial = random_initial(rng, D, support)
         spec = QuantizerSpec.from_grid(d=1, L=1.0, K=1 << D)
@@ -548,12 +597,34 @@ class TestKernelProperties:
             beta_mode="tight" if tight else "standard",
         )
         with mock.patch.object(sampler, "DEFAULT_CHUNK", chunk):
-            stats = sample(config, ExactScoreOracle(initial, config.T), n).stats
+            stats = assert_thinning_is_exact(config, ExactScoreOracle(initial, config.T), n)
         assert stats.score_evals == D * stats.poisson_events
         assert stats.accepted_moves <= stats.poisson_events
         assert stats.events_per_segment.sum() == stats.poisson_events
         assert stats.truncation_activations == 0
         assert stats.clipped_steps == 0
+
+    def test_thinning_is_exact_at_D12(self):
+        # d = 2 axes of 6 bits; 80 support points put D = 12 on the table path
+        spec = QuantizerSpec.from_grid(d=2, L=1.0, K=64)
+        initial = random_initial(np.random.default_rng(12), spec.n_bits, 80)
+        oracle = ExactScoreOracle(initial, 2.0)
+        assert oracle.uses_shell_table
+        config = SamplerConfig(spec=spec, T=2.0, delta=0.01, seed=12, beta_mode="tight")
+        with mock.patch.object(sampler, "DEFAULT_CHUNK", 128):
+            assert_thinning_is_exact(config, oracle, 300)
+
+    def test_thinning_stays_on(self):
+        # the shared D = 6 instance: about 28% of events are queried; a
+        # bound that no longer reached the sampler would query them all
+        # and give the same output
+        initial, config = d6_instance(seed=5)
+        oracle = ExactScoreOracle(initial, config.T)
+        assert oracle.uses_shell_table
+        for wrapped in (oracle, ForwardingProxy(oracle)):
+            stats = sample(config, wrapped, 2000).stats
+            assert 0 < stats.queried_rows <= 0.35 * stats.poisson_events
+        assert not hasattr(ScoreOracle, "total_bounds")
 
 
 class TestExactReverseMarginal:
@@ -672,8 +743,14 @@ class TestEulerSample:
         assert np.array_equal(got.states, want.states)
         assert np.array_equal(got.x, want.x)
         for field in fields(RunStats):
-            assert np.array_equal(getattr(got.stats, field.name), getattr(want.stats, field.name))
+            if field.name != "queried_rows":
+                assert np.array_equal(getattr(got.stats, field.name), getattr(want.stats, field.name))
         assert want.stats.score_evals == n * n_steps * D
+        # a chunk on the state path rates the 2^D states once per step
+        chunk = chunk or sampler.DEFAULT_CHUNK
+        sizes = [min(chunk, n - lo) for lo in range(0, n, chunk)]
+        rows = sum(1 << D if b >= sampler.EULER_STATE_PATH_REPLICAS << D else b for b in sizes)
+        assert got.stats.queried_rows == n_steps * rows
         # each case reaches the branches it is named for
         if n and oracle_kind in ("perturbed", "fixed"):
             assert want.stats.truncation_activations > 0

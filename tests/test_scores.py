@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from conftest import random_initial
 from hyperbin import scores
 from hyperbin.bits import all_states, index_to_state, splitmix64, state_key
 from hyperbin.chain import EmpiricalInitial, marginal_at
+from hyperbin.sampler import BETA_MODES, build_partition
 from hyperbin.scores import (
     TIME_BUCKETS,
     ExactScoreOracle,
@@ -292,6 +294,47 @@ class TestOracleProperties:
         assert oracle.uses_shell_table == table
         got = oracle.ratio_all(t, all_states(D))
         assert np.abs(got / dense_ratios(initial, T, t) - 1.0).max() <= 1e-12
+
+
+class TestTotalBounds:
+    @pytest.mark.parametrize("D", [1, 2, 3, 4, 5, 6, 7, 8, 10, 12])
+    @pytest.mark.parametrize("beta_mode", BETA_MODES)
+    def test_bound_dominates_every_row_total(self, D, beta_mode):
+        # random support on the table path; 9 times per segment, endpoints
+        # included; both the pairwise sum and the running sum the sampler's
+        # flip step compares against
+        gen = np.random.default_rng([D, len(beta_mode)])
+        P = int(gen.integers(math.isqrt((1 << D) - 1) + 1, (1 << D) + 1))
+        T = float(gen.uniform(1.0, 5.0))
+        oracle = ExactScoreOracle(distinct_support(gen, D, P), T)
+        assert oracle.uses_shell_table
+        part = build_partition(D, T, float(gen.uniform(1e-4, 0.1)), beta_mode)
+        table = oracle.total_bounds(part.times)
+        assert table.shape == (part.n_segments, 1 << D)
+        for w, (t_lo, t_hi, _) in enumerate(part.segments()):
+            for t in np.linspace(t_lo, t_hi, 9):
+                rates = oracle.ratio_all(t, all_states(D))
+                assert (rates.sum(axis=1) <= table[w]).all()
+                assert (np.cumsum(rates, axis=1)[:, -1] <= table[w]).all()
+
+    def test_no_bounds_off_the_table_or_above_the_memory_bound(self):
+        gen = np.random.default_rng(3)
+        part = build_partition(6, 3.0, 0.01)
+        matmul = ExactScoreOracle(distinct_support(gen, 6, 7), 3.0)  # 7^2 < 2^6
+        assert not matmul.uses_shell_table and matmul.total_bounds(part.times) is None
+        table = ExactScoreOracle(distinct_support(gen, 6, 8), 3.0)
+        fits = part.n_segments << 6
+        with mock.patch.object(scores, "_BOUND_TABLE_ELEMENTS", fits):
+            assert table.total_bounds(part.times).shape == (part.n_segments, 64)
+        with mock.patch.object(scores, "_BOUND_TABLE_ELEMENTS", fits - 1):
+            assert table.total_bounds(part.times) is None
+
+    def test_only_the_exact_oracle_offers_bounds(self):
+        # a base-class default would shadow a delegating proxy's forward,
+        # and a perturbed oracle's noise can exceed the exact bound
+        assert not hasattr(ScoreOracle, "total_bounds")
+        exact = ExactScoreOracle(distinct_support(np.random.default_rng(4), 4, 6), 2.0)
+        assert not hasattr(PerturbedScoreOracle(exact, 0.5, seed=1), "total_bounds")
 
 
 class TestBregman:
