@@ -341,12 +341,19 @@ def _uniformize_chunk(
     stats = RunStats(events_per_segment=np.zeros(W, dtype=np.int64))
     e = rng.standard_exponential(len(states))
     active = np.flatnonzero(e < ends[-1])
+    segment = np.zeros(len(states), dtype=np.intp)  # each replica's, only moves forward
     if bounds is not None:
         bounds = bounds.ravel()
         index = state_to_index(states)
     while len(active):
         clock = e[active]
-        seg = np.searchsorted(ends, clock, "right") - 1
+        # the last w with ends[w] <= clock, as searchsorted(ends, clock, "right") - 1
+        seg = segment[active]
+        behind = np.flatnonzero(clock >= ends[seg + 1])
+        while len(behind):
+            seg[behind] += 1
+            segment[active[behind]] += 1
+            behind = behind[clock[behind] >= ends[seg[behind] + 1]]
         stats.events_per_segment += np.bincount(seg, minlength=W)
         u = rng.random(len(active))
         rows = active

@@ -298,10 +298,12 @@ def check_c05(scale: str, seed: int) -> list[CheckRow]:
     law = uniformization_law(perturbed, tight.partition(), marginal_at(initial, config.T))
     result = sample(tight, perturbed, n)
     G, threshold = g_test(result.states, law)
+    st = result.stats
     detail = (
         f"perturbed sampler law equals its exact uniformization law: G = {G:.1f} at "
-        f"{_e(n)} replicas, noise 0.5, tight cap, {result.stats.truncation_activations} "
-        f"truncations (threshold {threshold:.1f} at alpha {_e(ALPHA)})"
+        f"{_e(n)} replicas, noise 0.5, tight cap, {st.truncation_activations} "
+        f"truncations (threshold {threshold:.1f} at alpha {_e(ALPHA)}); "
+        f"{st.queried_rows} of {st.poisson_events} events queried"
     )
     rows.append(CheckRow("perturbed_law_matches_exact", G <= threshold, G, n, detail))
     return rows

@@ -560,6 +560,7 @@ class ForwardingProxy(ScoreOracle):
 def assert_thinning_is_exact(config, oracle, n):
     """Run `sample` with the oracle's bounds and without them: the outputs
     and every counter but `queried_rows` agree. Returns the thinned stats."""
+    offered = oracle.total_bounds(config.partition().times) is not None
     thinned = sample(config, oracle, n)
     full = sample(config, HiddenBounds(oracle), n)
     assert np.array_equal(thinned.states, full.states)
@@ -572,7 +573,7 @@ def assert_thinning_is_exact(config, oracle, n):
     assert st.queried_rows <= st.poisson_events
     # with enough events some of them skip, unless no bound is offered
     if st.poisson_events >= 50:
-        assert (st.queried_rows < st.poisson_events) == oracle.uses_shell_table
+        assert (st.queried_rows < st.poisson_events) == offered
     return st
 
 
@@ -584,11 +585,13 @@ class TestKernelProperties:
         chunk=st.integers(16, 256),
         seed=st.integers(0, 2**32 - 1),
         tight=st.booleans(),
+        perturbed=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_work_counters(self, D, support, n, chunk, seed, tight):
+    def test_work_counters(self, D, support, n, chunk, seed, tight, perturbed):
         # n spans small runs and several chunks of a shrunken DEFAULT_CHUNK;
-        # supports of 16 or more points put every D on the bounded table path
+        # supports of 16 or more points put every D on the bounded table
+        # path, for the exact oracle and for the perturbed one over it
         rng = np.random.default_rng(seed)
         initial = random_initial(rng, D, support)
         spec = QuantizerSpec.from_grid(d=1, L=1.0, K=1 << D)
@@ -596,12 +599,16 @@ class TestKernelProperties:
             spec=spec, T=2.0, delta=0.05, seed=seed,
             beta_mode="tight" if tight else "standard",
         )
+        oracle = ExactScoreOracle(initial, config.T)
+        if perturbed:
+            oracle = PerturbedScoreOracle(oracle, 0.5, seed=seed)
         with mock.patch.object(sampler, "DEFAULT_CHUNK", chunk):
-            stats = assert_thinning_is_exact(config, ExactScoreOracle(initial, config.T), n)
+            stats = assert_thinning_is_exact(config, oracle, n)
         assert stats.score_evals == D * stats.poisson_events
         assert stats.accepted_moves <= stats.poisson_events
         assert stats.events_per_segment.sum() == stats.poisson_events
-        assert stats.truncation_activations == 0
+        if not perturbed:  # the exact total rate stays below either cap
+            assert stats.truncation_activations == 0
         assert stats.clipped_steps == 0
 
     def test_thinning_is_exact_at_D12(self):
@@ -625,6 +632,20 @@ class TestKernelProperties:
             stats = sample(config, wrapped, 2000).stats
             assert 0 < stats.queried_rows <= 0.35 * stats.poisson_events
         assert not hasattr(ScoreOracle, "total_bounds")
+
+    def test_thinning_stays_on_for_the_perturbed_oracle(self):
+        # c05's perturbed tight-cap instance: about 55% of events are
+        # queried, also with the inner oracle behind a proxy, as the
+        # benchmark's tracing wraps it
+        initial, config = d6_instance(seed=5)
+        exact = ExactScoreOracle(initial, config.T)
+        oracle = PerturbedScoreOracle(exact, 0.5, seed=77)
+        tight = replace(config, beta_mode="tight")
+        over_proxy = PerturbedScoreOracle(ForwardingProxy(exact), 0.5, seed=77)
+        for wrapped in (oracle, ForwardingProxy(oracle), over_proxy):
+            stats = sample(tight, wrapped, 2000).stats
+            assert stats.truncation_activations > 0
+            assert 0 < stats.queried_rows <= 0.6 * stats.poisson_events
 
 
 class TestExactReverseMarginal:

@@ -296,26 +296,49 @@ class TestOracleProperties:
         assert np.abs(got / dense_ratios(initial, T, t) - 1.0).max() <= 1e-12
 
 
+def bounded_instance(D, beta_mode):
+    """A random support on the table path and a partition, drawn per case."""
+    gen = np.random.default_rng([D, len(beta_mode)])
+    P = int(gen.integers(math.isqrt((1 << D) - 1) + 1, (1 << D) + 1))
+    T = float(gen.uniform(1.0, 5.0))
+    oracle = ExactScoreOracle(distinct_support(gen, D, P), T)
+    assert oracle.uses_shell_table
+    return oracle, build_partition(D, T, float(gen.uniform(1e-4, 0.1)), beta_mode)
+
+
+def assert_bound_dominates(oracle, part):
+    """Every row total of `oracle`, at 9 times per segment, endpoints
+    included, lies within its bound: both the pairwise sum and the running
+    sum the sampler's flip step compares against. Returns the row totals
+    per segment, (W, 9, 2^D)."""
+    D = oracle.n_bits
+    table = oracle.total_bounds(part.times)
+    assert table.shape == (part.n_segments, 1 << D)
+    totals = np.empty((part.n_segments, 9, 1 << D))
+    for w, (t_lo, t_hi, _) in enumerate(part.segments()):
+        for k, t in enumerate(np.linspace(t_lo, t_hi, 9)):
+            rates = oracle.ratio_all(t, all_states(D))
+            assert (rates.sum(axis=1) <= table[w]).all()
+            totals[w, k] = np.cumsum(rates, axis=1)[:, -1]
+            assert (totals[w, k] <= table[w]).all()
+    return totals
+
+
 class TestTotalBounds:
     @pytest.mark.parametrize("D", [1, 2, 3, 4, 5, 6, 7, 8, 10, 12])
     @pytest.mark.parametrize("beta_mode", BETA_MODES)
     def test_bound_dominates_every_row_total(self, D, beta_mode):
-        # random support on the table path; 9 times per segment, endpoints
-        # included; both the pairwise sum and the running sum the sampler's
-        # flip step compares against
-        gen = np.random.default_rng([D, len(beta_mode)])
-        P = int(gen.integers(math.isqrt((1 << D) - 1) + 1, (1 << D) + 1))
-        T = float(gen.uniform(1.0, 5.0))
-        oracle = ExactScoreOracle(distinct_support(gen, D, P), T)
-        assert oracle.uses_shell_table
-        part = build_partition(D, T, float(gen.uniform(1e-4, 0.1)), beta_mode)
-        table = oracle.total_bounds(part.times)
-        assert table.shape == (part.n_segments, 1 << D)
-        for w, (t_lo, t_hi, _) in enumerate(part.segments()):
-            for t in np.linspace(t_lo, t_hi, 9):
-                rates = oracle.ratio_all(t, all_states(D))
-                assert (rates.sum(axis=1) <= table[w]).all()
-                assert (np.cumsum(rates, axis=1)[:, -1] <= table[w]).all()
+        assert_bound_dominates(*bounded_instance(D, beta_mode))
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("beta_mode", BETA_MODES)
+    @pytest.mark.parametrize("noise", [0.5, 2.0])
+    def test_perturbed_bound_dominates_every_row_total(self, D, beta_mode, noise):
+        # the noise pushes some rows past the exact bound, so the exact
+        # bound alone would let the sampler skip events that move
+        exact, part = bounded_instance(D, beta_mode)
+        totals = assert_bound_dominates(PerturbedScoreOracle(exact, noise, seed=D), part)
+        assert (totals > exact.total_bounds(part.times)[:, None, :]).any()
 
     def test_no_bounds_off_the_table_or_above_the_memory_bound(self):
         gen = np.random.default_rng(3)
@@ -329,12 +352,24 @@ class TestTotalBounds:
         with mock.patch.object(scores, "_BOUND_TABLE_ELEMENTS", fits - 1):
             assert table.total_bounds(part.times) is None
 
-    def test_only_the_exact_oracle_offers_bounds(self):
-        # a base-class default would shadow a delegating proxy's forward,
-        # and a perturbed oracle's noise can exceed the exact bound
+    def test_no_perturbed_bounds_without_the_noise_table_or_exact_bounds(self):
+        gen = np.random.default_rng(5)
+        part = build_partition(9, 3.0, 0.01)
+        above = ExactScoreOracle(distinct_support(gen, 9, 23), 3.0)  # 23^2 >= 2^9
+        assert above.total_bounds(part.times) is not None
+        perturbed = PerturbedScoreOracle(above, 0.5, seed=1)
+        assert not perturbed.uses_noise_table and perturbed.total_bounds(part.times) is None
+        part = build_partition(6, 3.0, 0.01)
+        matmul = ExactScoreOracle(distinct_support(gen, 6, 7), 3.0)
+        assert PerturbedScoreOracle(matmul, 0.5, seed=1).total_bounds(part.times) is None
+        table = ExactScoreOracle(distinct_support(gen, 6, 8), 3.0)
+        # an inner oracle that is not an ExactScoreOracle offers no bound terms
+        twice = PerturbedScoreOracle(PerturbedScoreOracle(table, 0.5, seed=1), 0.5, seed=2)
+        assert twice.total_bounds(part.times) is None
+
+    def test_the_base_class_defines_no_bounds(self):
+        # a base-class default would shadow a delegating proxy's forward
         assert not hasattr(ScoreOracle, "total_bounds")
-        exact = ExactScoreOracle(distinct_support(np.random.default_rng(4), 4, 6), 2.0)
-        assert not hasattr(PerturbedScoreOracle(exact, 0.5, seed=1), "total_bounds")
 
 
 class TestBregman:
