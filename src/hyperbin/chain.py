@@ -4,8 +4,8 @@ Every Hamming-1 neighbor is reachable at rate 1 and the generator diagonal
 is -D, so the transition kernel factorizes over bits: over an interval of
 length dt each bit flips independently with probability (1 - e^(-2 dt))/2.
 Dense helpers follow the little-endian state/index map from
-:mod:`hyperbin.bits`; dense generators, all built by :func:`flip_generator`,
-follow the column convention R[y, y'] = rate from y' to y.
+:mod:`hyperbin.bits`; generators, applied by :func:`flip_apply`, follow
+the column convention R[y, y'] = rate from y' to y.
 """
 
 from __future__ import annotations
@@ -158,25 +158,28 @@ def dense_ratios(probs: np.ndarray) -> np.ndarray:
     return probs[flips] / probs[:, None]
 
 
-def flip_generator(rates: np.ndarray) -> np.ndarray:
-    """Dense generator of the chain that flips bit i of state y at rate
-    rates[y, i], for rates of shape (2^D, D): G[y ^ 2^i, y] = rates[y, i]
-    and each column sums to zero (D <= MAX_RATE_MATRIX_BITS)."""
-    rates = np.asarray(rates, dtype=np.float64)
+def flip_apply(rates: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """G q for the generator G of the chain that flips bit i of state y at
+    rate rates[y, i], for rates of shape (2^D, D) and q of shape (2^D,) or
+    (2^D, k): G[y ^ 2^i, y] = rates[y, i] and each column of G sums to
+    zero. Costs O(D 2^D) per column of q; G itself is never built."""
     n, D = rates.shape
-    if D > MAX_RATE_MATRIX_BITS:
-        raise ValueError(f"dense rate matrix needs D <= {MAX_RATE_MATRIX_BITS}, got {D}")
     if n != 1 << D:
         raise ValueError(f"need one row of rates per state, 2^{D} rows, got {n}")
-    G = np.zeros((n, n))
-    idx = np.arange(n)
+    cols = np.asarray(q, dtype=np.float64).reshape(n, -1)
+    out = np.zeros_like(cols)
     for i in range(D):
-        G[idx ^ (1 << i), idx] = rates[:, i]
-    G[idx, idx] = -rates.sum(axis=1)
-    return G
+        # y and y ^ 2^i sit at the two ends of the middle axis
+        blocks = (-1, 2, 1 << i, cols.shape[1])
+        inflow = out.reshape(blocks)
+        inflow += (rates[:, i, None] * cols).reshape(blocks)[:, ::-1]
+    out -= rates.sum(axis=1, keepdims=True) * cols
+    return out.reshape(np.shape(q))
 
 
 def dense_rate_matrix(D: int) -> np.ndarray:
     """The forward chain's generator: entry (y, y') is 1 when
-    Ham(y, y') = 1, -D on the diagonal."""
-    return flip_generator(np.broadcast_to(1.0, (1 << D, D)))
+    Ham(y, y') = 1, -D on the diagonal (D <= MAX_RATE_MATRIX_BITS)."""
+    if D > MAX_RATE_MATRIX_BITS:
+        raise ValueError(f"dense rate matrix needs D <= {MAX_RATE_MATRIX_BITS}, got {D}")
+    return flip_apply(np.ones((1 << D, D)), np.eye(1 << D))

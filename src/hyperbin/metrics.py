@@ -1,5 +1,6 @@
 """Distances between discrete laws, plug-in estimators, and the
-continuous-histogram TV against exact per-cell masses."""
+continuous-histogram TV of a law over grid cells against a continuous
+law's exact per-cell masses."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import DISTRIBUTION_ATOL, check_distribution
-from .quantizer import QuantizerSpec, quantize_point
 
 
 def tv_exact(p: np.ndarray, q: np.ndarray) -> float:
@@ -72,30 +72,21 @@ def tv_plugin(samples: EmpiricalLaw, q: np.ndarray) -> float:
     return tv_exact(samples.to_dense(len(q)), q)
 
 
-def tv_continuous_histogram(
-    samples: np.ndarray, cell_mass: np.ndarray, spec: QuantizerSpec
-) -> float:
-    """TV between the sample histogram on the grid and a continuous law.
+def tv_continuous_histogram(law: np.ndarray, cell_mass: np.ndarray) -> float:
+    """TV between a law over a grid's cells and a continuous law.
 
-    Samples are binned with the quantizer. `cell_mass` holds the law's
-    mass in every cell of the grid, flat (K^d,) in C order over the grid
-    indices; its mass outside the cube, 1 - sum(cell_mass), counts fully
-    toward the distance.
+    `law` holds probabilities and `cell_mass` the continuous law's mass in
+    every cell, both flat over the same cells: (K^d,) in C order over the
+    grid indices. The continuous law's mass outside the cube,
+    1 - sum(cell_mass), counts fully toward the distance.
     """
-    pts = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    if pts.shape[0] == 0:
-        raise ValueError("no samples")
-    cell_mass = np.asarray(cell_mass, dtype=np.float64)
-    n_cells = spec.K**spec.d
-    if cell_mass.shape != (n_cells,):
-        raise ValueError(f"cell_mass must have shape ({n_cells},), got {cell_mass.shape}")
+    law, cell_mass = np.asarray(law, np.float64), np.asarray(cell_mass, np.float64)
+    if law.ndim != 1 or cell_mass.shape != law.shape:
+        raise ValueError(f"need two flat arrays of one shape, got {law.shape}, {cell_mass.shape}")
+    check_distribution(law)
     if not (cell_mass >= 0).all():  # also catches NaN
         raise ValueError("cell_mass entries must be nonnegative")
     total = float(cell_mass.sum())
     if total > 1.0 + DISTRIBUTION_ATOL:
         raise ValueError(f"cell_mass sums to {total!r} > 1")
-    idx = quantize_point(spec, pts)
-    flat = np.ravel_multi_index(tuple(idx.T), (spec.K,) * spec.d)
-    counts = np.bincount(flat, minlength=n_cells).astype(np.float64)
-    emp = counts / counts.sum()
-    return 0.5 * (float(np.abs(emp - cell_mass).sum()) + max(1.0 - total, 0.0))
+    return 0.5 * (float(np.abs(law - cell_mass).sum()) + max(1.0 - total, 0.0))

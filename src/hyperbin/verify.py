@@ -4,12 +4,12 @@
 whose detail text gives each measured value next to its threshold.
 `tests/test_acceptance.py` runs each check at `"full"` scale with a fixed
 seed, and `hyperbin verify --suite NAME` at `"quick"` scale with `--seed`.
-Only the two checks whose cost is sampling, c05 and c08, run fewer
-replicas at quick scale; `SCALES` holds those sizes and c08's slack.
-Every other check runs one size, and its thresholds are named once in
-the check. c05 judges its sampled laws by one G-test at one false-alarm
-rate, ALPHA. c01, c06, c09, c10 and c11 sample nothing, so their rows
-are the same at both scales and every seed; c09 reads the expected
+Only the two checks that sample laws, c05 and c08, run fewer replicas
+at quick scale; `REPLICAS` holds those sizes. Every other check runs one
+size, and its thresholds are named once in the check. c05 and c08 judge
+their sampled laws by one G-test at one false-alarm rate, ALPHA. c01,
+c06, c09, c10 and c11 sample nothing, and neither does c08's TV row, so
+their rows are the same at both scales and every seed; c09 reads the expected
 event count sum beta_w dt_w of each partition. `SUITES` maps each CLI
 suite name to its check.
 """
@@ -30,12 +30,12 @@ from .chain import (
     EmpiricalInitial,
     dense_rate_matrix,
     dense_ratios,
-    flip_generator,
+    flip_apply,
     flip_probability,
     marginal_at,
 )
 from .metrics import kl_exact, tv_continuous_histogram, tv_exact
-from .quantizer import QuantizerSpec, vbin_encode
+from .quantizer import QuantizerSpec, quantize_point, vbin_encode
 from .sampler import (
     SamplerConfig,
     TimePartition,
@@ -52,21 +52,15 @@ from .scores import (
     score_entropy_loss,
 )
 
-# c05 and c08 sample, so they run fewer replicas at quick scale, and c08
-# widens its TV slack to match. Every other check runs one size.
-SCALES = {
-    # replicas per G-test row; the test's threshold is set by ALPHA alone
-    "c05": {"full": dict(n=200_000), "quick": dict(n=20_000)},
-    # TV slack on top of the 5 eps bound: histogram estimation error
-    "c08": {"full": dict(n=200_000, slack=0.03), "quick": dict(n=20_000, slack=0.06)},
-}
+# Replicas per G-test row of c05 and c08; its threshold is set by ALPHA alone.
+REPLICAS = {"full": 200_000, "quick": 20_000}
 
 # c10: the Euler step counts tried, and the number of exact draws whose
 # mean plug-in TV an Euler law must reach to match uniformization.
 EULER_LADDER = (32, 64, 128, 256, 512, 1024)
 MATCH_DRAWS = 100_000
 
-# c05: the chance that a G-test row fails on correct code.
+# c05 and c08: the chance that a G-test row fails on correct code.
 ALPHA = 1e-6
 
 
@@ -228,11 +222,11 @@ def uniformization_law(
     oracle: ScoreOracle, partition: TimePartition, start: np.ndarray
 ) -> np.ndarray:
     """Exact law at T - delta of the chain that `sampler.sample` simulates
-    under `oracle` on `partition`, from the dense law `start` (D <= 12).
+    under `oracle` on `partition`, from the dense law `start`.
 
     On segment w the chain flips bit i of y at rate ratio_i(y, t), each
-    state's total capped at beta_w, so the law solves dq/dt = G(t) q with
-    G = flip_generator(cap_totals(ratios, beta_w)); DOP853 integrates it at
+    state's total capped at beta_w, so the law solves dq/dt = G(t) q, with
+    G q = flip_apply(cap_totals(ratios, beta_w), q); DOP853 integrates it at
     rtol 1e-11. Segments are split at the edges k T / TIME_BUCKETS, where a
     perturbed oracle's noise jumps, and each query stays strictly below its
     piece's right end, since a query at an edge reads the next bucket's
@@ -249,7 +243,7 @@ def uniformization_law(
 
             def rhs(t, q):
                 rates = oracle.ratio_all(min(t, last), states)
-                return flip_generator(cap_totals(rates, beta)) @ q
+                return flip_apply(cap_totals(rates, beta), q)
 
             law = solve_ivp(rhs, (a, b), law, method="DOP853", rtol=1e-11, atol=1e-14).y[:, -1]
     return law
@@ -281,7 +275,7 @@ def check_c05(scale: str, seed: int) -> list[CheckRow]:
     by a G-test at ALPHA: under the exact oracle that law is the
     early-stopped target; under a perturbed oracle with the tight cap,
     where truncation fires, it is `uniformization_law`."""
-    n = SCALES["c05"][scale]["n"]
+    n = REPLICAS[scale]
     initial, config = d6_instance(seed)
     exact = ExactScoreOracle(initial, config.T)
     target = marginal_at(initial, config.delta)
@@ -363,9 +357,11 @@ def check_c07(scale: str, seed: int) -> list[CheckRow]:
 
 
 def check_c08(scale: str, seed: int) -> list[CheckRow]:
-    """End to end: samples of 0.5 N(-1.5, 0.5^2) + 0.5 N(+1.5, 0.5^2) on a
-    64-cell grid are within 5 eps in continuous-histogram TV."""
-    size = SCALES["c08"][scale]
+    """End to end on 0.5 N(-1.5, 0.5^2) + 0.5 N(+1.5, 0.5^2) over a 64-cell
+    grid: the exact law of the simulated chain is within 5 eps in
+    continuous-histogram TV (the same at both scales and every `seed`),
+    and the decoded samples' grid cells follow it by a G-test at ALPHA."""
+    n = REPLICAS[scale]
     spec = QuantizerSpec.from_grid(d=1, L=4.0, K=64)
     edges = -spec.L + spec.l * np.arange(spec.K + 1)
     comp = lambda e, mu: norm.cdf((e - mu) / 0.5)
@@ -375,14 +371,23 @@ def check_c08(scale: str, seed: int) -> list[CheckRow]:
 
     eps = 0.1
     config = SamplerConfig.default_schedule(spec, eps, seed=seed)
-    result = sample(config, ExactScoreOracle(initial, config.T), size["n"])
-    tv = tv_continuous_histogram(result.x, cell_mass, spec)
-    threshold = 5 * eps + size["slack"]
+    oracle = ExactScoreOracle(initial, config.T)
+    law = uniformization_law(oracle, config.partition(), np.full(spec.K, 1 / spec.K))
+    tv = tv_continuous_histogram(law[state_to_index(states)], cell_mass)
     detail = (
         f"end-to-end continuous TV on a Gaussian mixture: continuous-histogram TV = "
-        f"{tv:.4f} at {_e(size['n'])} samples (threshold {threshold:g})"
+        f"{tv:.4f} of the exact law of the simulated chain (threshold {5 * eps:g})"
     )
-    return [CheckRow("gaussian_mixture_tv", tv <= threshold, tv, size["n"], detail)]
+    rows = [CheckRow("gaussian_mixture_tv", tv <= 5 * eps, tv, spec.K, detail)]
+
+    result = sample(config, oracle, n)
+    G, threshold = g_test(vbin_encode(spec, quantize_point(spec, result.x)), law)
+    detail = (
+        f"decoded samples follow that law: G = {G:.1f} over the grid cells of {_e(n)} "
+        f"samples (threshold {threshold:.1f} at alpha {_e(ALPHA)})"
+    )
+    rows.append(CheckRow("decoded_law_matches_exact", G <= threshold, G, n, detail))
+    return rows
 
 
 def check_c09(scale: str, seed: int) -> list[CheckRow]:
@@ -412,7 +417,7 @@ def check_c09(scale: str, seed: int) -> list[CheckRow]:
 
 def euler_law(oracle: ScoreOracle, config: SamplerConfig, n_steps: int) -> np.ndarray:
     """Exact law of the Euler baseline after n_steps equal steps of length
-    h over [0, T - delta], from the config's initial law (D <= 12). Step k
+    h over [0, T - delta], from the config's initial law. Step k
     caps every state's rates at beta(t_k), t_k = k h, scales them by h,
     caps their total at 1, and applies the kernel I + G of those flip
     probabilities. It shares no code with `sampler.euler_sample`, so it is
@@ -423,7 +428,7 @@ def euler_law(oracle: ScoreOracle, config: SamplerConfig, n_steps: int) -> np.nd
     for k in range(n_steps):
         rates = oracle.ratio_all(k * h, all_states(D))
         rates = cap_totals(rates, beta_value(D, config.T, k * h, config.beta_mode))
-        law = law + flip_generator(cap_totals(h * rates, 1.0)) @ law
+        law = law + flip_apply(cap_totals(h * rates, 1.0), law)
     return law
 
 

@@ -11,7 +11,7 @@ from hyperbin.bits import all_states, hamming_to_rows, index_to_state, state_to_
 from hyperbin.chain import (
     EmpiricalInitial,
     dense_rate_matrix,
-    flip_generator,
+    flip_apply,
     flip_probability,
     marginal_at,
     sample_forward,
@@ -181,8 +181,24 @@ class TestRateMatrix:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             dense_rate_matrix(13)
-        with pytest.raises(ValueError):  # one row of rates per state
-            flip_generator(np.ones((8, 2)))
+        with pytest.raises(ValueError, match="one row of rates per state"):
+            flip_apply(np.ones((8, 2)), np.ones(8))
+
+
+class TestFlipApply:
+    def test_generator_entries(self, rng):
+        for D in range(1, 7):
+            rates = rng.random((1 << D, D))
+            G = flip_apply(rates, np.eye(1 << D))
+            idx = np.arange(1 << D)
+            expected = np.zeros_like(G)
+            for i in range(D):
+                expected[idx ^ (1 << i), idx] = rates[:, i]
+            off = ~np.eye(1 << D, dtype=bool)
+            assert np.array_equal(G[off], expected[off])
+            assert np.allclose(G.sum(axis=0), 0.0, atol=1e-14)
+            q = rng.random(1 << D)  # one column, as the law helpers pass it
+            assert np.allclose(flip_apply(rates, q), G @ q, atol=1e-14)
 
 
 class TestKL:

@@ -133,45 +133,54 @@ def uniform_cell_mass(spec):
 
 
 class TestContinuousHistogram:
-    def test_samples_from_density_itself(self, rng):
-        spec = QuantizerSpec.from_grid(d=1, L=4.0, K=64)
-        x = rng.standard_normal((1_000_000, 1))
-        tv = tv_continuous_histogram(x, normal_cell_mass(spec), spec)
-        assert tv <= 0.02
+    def test_uniform_matched_case(self):
+        mass = uniform_cell_mass(QuantizerSpec.from_grid(d=1, L=1.0, K=16))
+        assert tv_continuous_histogram(mass, mass) == 0.0
 
-    def test_uniform_matched_case(self, rng):
-        spec = QuantizerSpec.from_grid(d=1, L=1.0, K=16)
-        x = rng.uniform(-1, 1, size=(200_000, 1))
-        tv = tv_continuous_histogram(x, uniform_cell_mass(spec), spec)
-        assert tv <= 0.01
+    def test_outside_mass_counts_fully(self):
+        # the normal law given the cube: |law - mass| sums to the outside
+        # mass 1 - S, which counts once more, so TV = 1 - S
+        mass = normal_cell_mass(QuantizerSpec.from_grid(d=1, L=2.0, K=64))
+        tv = tv_continuous_histogram(mass / mass.sum(), mass)
+        assert tv == pytest.approx(1.0 - mass.sum(), abs=1e-12)
+        assert tv == pytest.approx(2 * norm.sf(2.0), rel=1e-9)
 
     def test_degenerate_point_mass(self):
         # all mass in one cell: TV = 1 - (mass of that cell)
         spec = QuantizerSpec.from_grid(d=1, L=4.0, K=64)
-        x = np.full((1000, 1), 0.07)
         cell = int(np.floor((0.07 + 4.0) / spec.l))
         lo = -4.0 + cell * spec.l
         cell_mass = norm.cdf(lo + spec.l) - norm.cdf(lo)
-        tv = tv_continuous_histogram(x, normal_cell_mass(spec), spec)
+        tv = tv_continuous_histogram(np.eye(spec.K)[cell], normal_cell_mass(spec))
         assert tv == pytest.approx(1.0 - cell_mass, abs=1e-12)
 
-    def test_two_dimensional_uniform(self, rng):
-        spec = QuantizerSpec.from_grid(d=2, L=1.0, K=8)
-        x = rng.uniform(-1, 1, size=(200_000, 2))
-        tv = tv_continuous_histogram(x, uniform_cell_mass(spec), spec)
-        assert tv <= 0.02
+    def test_two_dimensional_uniform(self):
+        mass = uniform_cell_mass(QuantizerSpec.from_grid(d=2, L=1.0, K=8))
+        assert tv_continuous_histogram(mass, mass) == 0.0
+        point = np.eye(64)[np.ravel_multi_index((3, 5), (8, 8))]
+        assert tv_continuous_histogram(point, mass) == pytest.approx(1 - 1 / 64)
 
-    def test_four_dimensional_uniform(self, rng):
+    def test_four_dimensional_uniform(self):
         # no dimension limit: the masses come in, nothing is integrated
-        spec = QuantizerSpec.from_grid(d=4, L=1.0, K=4)
-        x = rng.uniform(-1, 1, size=(200_000, 4))
-        tv = tv_continuous_histogram(x, uniform_cell_mass(spec), spec)
-        assert tv <= 0.02
+        mass = uniform_cell_mass(QuantizerSpec.from_grid(d=4, L=1.0, K=4))
+        assert tv_continuous_histogram(mass, mass) == 0.0
+        point = np.eye(256)[np.ravel_multi_index((0, 1, 2, 3), (4,) * 4)]
+        assert tv_continuous_histogram(point, mass) == pytest.approx(1 - 1 / 256)
 
-    def test_rejects_empty_samples(self):
-        spec = QuantizerSpec.from_grid(d=1, L=1.0, K=4)
-        with pytest.raises(ValueError):
-            tv_continuous_histogram(np.empty((0, 1)), uniform_cell_mass(spec), spec)
+    @pytest.mark.parametrize(
+        "law, match",
+        [
+            (np.empty(0), "shape"),
+            (np.full(8, 0.125), "shape"),
+            (np.full((2, 2), 0.25), "shape"),
+            (np.array([0.5, 0.5, 0.5, -0.5]), "negative"),
+            (np.array([0.5, 0.25, 0.0, 0.0]), "sum"),
+        ],
+        ids=["empty", "long", "not-flat", "negative", "below-one"],
+    )
+    def test_rejects_bad_law(self, law, match):
+        with pytest.raises(ValueError, match=match):
+            tv_continuous_histogram(law, np.full(4, 0.25))
 
     @pytest.mark.parametrize(
         "mass, match",
@@ -185,12 +194,10 @@ class TestContinuousHistogram:
         ids=["short", "not-flat", "negative", "nan", "above-one"],
     )
     def test_rejects_bad_cell_mass(self, mass, match):
-        spec = QuantizerSpec.from_grid(d=1, L=1.0, K=4)
         with pytest.raises(ValueError, match=match):
-            tv_continuous_histogram(np.zeros((5, 1)), mass, spec)
+            tv_continuous_histogram(np.full(4, 0.25), mass)
 
     def test_accepts_a_sum_one_within_rounding(self):
-        spec = QuantizerSpec.from_grid(d=1, L=1.0, K=4)
         mass = np.array([0.25, 0.25, 0.25, 0.25 + 1e-13])
-        tv = tv_continuous_histogram(np.zeros((4, 1)), mass, spec)
+        tv = tv_continuous_histogram(np.eye(4)[0], mass)
         assert tv == pytest.approx(0.75, abs=1e-12)

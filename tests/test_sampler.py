@@ -14,7 +14,7 @@ from hyperbin import sampler
 from hyperbin.bits import all_states, state_to_index
 from hyperbin.chain import EmpiricalInitial, marginal_at
 from hyperbin.cli import write_samples_csv, write_stats_csv
-from hyperbin.metrics import EmpiricalLaw, tv_exact, tv_plugin
+from hyperbin.metrics import tv_exact
 from hyperbin.quantizer import QuantizerSpec
 from hyperbin.sampler import (
     RunStats,
@@ -349,8 +349,8 @@ class TestUniformizeSegment:
 
     def test_segment_law_matches_ode(self, rng):
         # independent reference: the truncated reverse dynamics integrated
-        # by verify.uniformization_law, against the empirical law of 1e5
-        # lockstep replicas
+        # by verify.uniformization_law, against 1e5 lockstep replicas by a
+        # G-test at ALPHA
         D = 4
         T, seg_end = 3.0, 0.61
         initial = random_initial(rng, D, 5)
@@ -362,11 +362,10 @@ class TestUniformizeSegment:
         part = one_segment(seg_end, beta, D, T)
         states = np.tile(y_in, (n, 1))
         stats = _uniformize_chunk(oracle, part, states, rng)
-        counts = np.bincount(state_to_index(states), minlength=1 << D)
-
         q0 = np.zeros(1 << D)
         q0[state_to_index(y_in)] = 1.0
-        assert tv_exact(counts / n, uniformization_law(oracle, part, q0)) < 0.02
+        G, threshold = g_test(states, uniformization_law(oracle, part, q0))
+        assert G <= threshold
         assert stats.truncation_activations == 0
 
 
@@ -472,9 +471,8 @@ class TestSample:
         config, oracle, initial = self._instance(init="exact-terminal")
         n = 40_000
         result = sample(config, oracle, n)
-        target = exact_reverse_marginal(initial, config.T, config.T - config.delta)
-        tv = tv_plugin(EmpiricalLaw.from_indices(state_to_index(result.states)), target)
-        assert tv < 0.02
+        G, threshold = g_test(result.states, marginal_at(initial, config.delta))
+        assert G <= threshold
         assert result.stats.truncation_activations == 0
 
     def test_continuous_output_lands_in_decoded_cells(self):

@@ -9,9 +9,10 @@ from scipy.stats import binom
 
 from hyperbin import verify
 from hyperbin.bits import all_states
-from hyperbin.chain import marginal_at
+from hyperbin.chain import EmpiricalInitial, marginal_at
 from hyperbin.metrics import tv_exact
-from hyperbin.scores import ExactScoreOracle
+from hyperbin.sampler import build_partition
+from hyperbin.scores import ExactScoreOracle, ScoreOracle
 
 
 @pytest.fixture(scope="module")
@@ -27,12 +28,32 @@ def multinomial_states(rng, n, law):
     return np.repeat(all_states(len(law).bit_length() - 1), counts, axis=0)
 
 
+class UnitRates(ScoreOracle):
+    """Every bit flips at rate 1: the forward chain."""
+
+    def __init__(self, D, T):
+        self.n_bits, self.T = D, T
+
+    def ratio_all(self, t, states):
+        return np.ones((len(states), self.n_bits))
+
+
 class TestUniformizationLaw:
     def test_exact_oracle_gives_the_target(self, target):
         initial, config = verify.d6_instance(0)
         exact = ExactScoreOracle(initial, config.T)
         law = verify.uniformization_law(exact, config.partition(), marginal_at(initial, config.T))
         assert tv_exact(law, target) < 1e-11
+
+    def test_unit_rates_above_the_rate_matrix_cap(self):
+        # D = 13 is above MAX_RATE_MATRIX_BITS; unit rates, under every
+        # cap, run the forward chain for T - delta from the start
+        D, T, delta = 13, 1.0, 0.75
+        y = np.random.default_rng(13).integers(0, 2, (1, D), dtype=np.uint8)
+        point = EmpiricalInitial(states=y, weights=np.array([1.0]))
+        partition = build_partition(D, T, delta)
+        law = verify.uniformization_law(UnitRates(D, T), partition, point.to_dense())
+        assert np.abs(law - marginal_at(point, T - delta)).max() < 1e-12
 
 
 class TestGTest:
@@ -119,6 +140,7 @@ class TestLawRows:
 PINNED = {
     "robustness": "exact KL = 2.12e-04 <= (T-delta)*L_SE = 0.1632",
     "complexity": "expected events [57.9, 140.6, 232.3, 329.9]",
+    "gaussian-mixture": "continuous-histogram TV = 0.0355",
 }
 
 
@@ -134,3 +156,11 @@ def test_exact_suites_ignore_scale_and_seed(suite, memoize):
     assert rows and all(row.passed for row in rows)
     assert PINNED.get(suite, "") in " ".join(row.detail for row in rows)
     assert check("quick", 1) == rows
+
+
+def test_c08_exact_row_ignores_scale_and_seed():
+    # only the G-test row samples
+    full, quick = verify.check_c08("full", 0), verify.check_c08("quick", 1)
+    assert all(row.passed for row in full + quick)
+    assert PINNED["gaussian-mixture"] in full[0].detail
+    assert quick[0] == full[0]
