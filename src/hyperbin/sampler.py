@@ -29,7 +29,7 @@ import numpy as np
 from .bits import all_states, index_to_state, state_to_index
 from .chain import EmpiricalInitial, marginal_at, sample_forward
 from .quantizer import QuantizerSpec, dequantize_sample, vbin_decode
-from .scores import ScoreOracle
+from .scores import ScoreOracle, index_query
 
 BETA_MODES = ("standard", "tight")
 
@@ -40,13 +40,9 @@ BATCH_THRESHOLD = 512
 DEFAULT_CHUNK = 1 << 16
 # An Euler chunk of at least this many replicas per state (B >= 4 * 2^D)
 # rates all 2^D states each step; a smaller one rates its replicas' rows,
-# of which the exact oracle computes only the distinct states. Against
-# the per-row loop (2-vCPU Xeon VM, numpy 2.4.6, one BLAS thread), a
-# table-path oracle on a concentrated support ran 0.71-0.86x at 1 replica
-# per state (D = 10, 12), 1.05-1.19x at 2 and 1.2-1.4x at 3; the matmul
-# path and the perturbed oracle ran 0.94-0.97x at 1. At 4, every measured
-# shape (D = 8-14, both exact paths and the perturbed oracle) ran
-# 1.27-4.9x faster.
+# of which the exact oracle computes only the distinct states. From 4 on,
+# every measured shape ran faster than the per-row loop (figures in
+# CHANGES.md, on the Euler state path).
 EULER_STATE_PATH_REPLICAS = 4
 
 
@@ -201,7 +197,9 @@ class RunStats:
     Poisson event (uniformization, also counted in `poisson_events`) or per
     step (Euler, which leaves `poisson_events` at 0). `score_evals` is the
     cost model: D per such row, whether or not the oracle was asked for it.
-    `queried_rows` counts the rows passed to the oracle's `ratio_all`:
+    `queried_rows` counts the rows the oracle was asked for, through
+    `ratio_all` or, when the oracle offers it, its index query (see
+    :class:`ScoreOracle`; a wrapper that times `ratio_all` sees them all):
     under uniformization only the events that a rate bound could not rule
     out, and under Euler 2^D per step on the state path (at least
     EULER_STATE_PATH_REPLICAS replicas per state, see :func:`euler_sample`)
@@ -333,7 +331,14 @@ def _uniformize_chunk(
     segment; the rest cannot move, as the flip test is u * beta < total
     <= bound. The oracle draws no random numbers, so the stream, the
     states and every counter but `queried_rows` are those of querying
-    every row. State indices are kept beside `states` to read the bounds.
+    every row.
+
+    Replicas travel as state indices when the oracle offers an index
+    query (:func:`index_query`): a flip is applied as index ^= 1 << flip,
+    and `states` is unpacked once, at the end. Without the query (the
+    matmul path, D > 63, or a wrapper that changes or times `ratio_all`,
+    which does not inherit it) they travel as rows of `states`, with
+    indices beside them when bounds are read.
     """
     times, betas = partition.times, partition.betas
     D, W = states.shape[1], partition.n_segments
@@ -342,9 +347,10 @@ def _uniformize_chunk(
     e = rng.standard_exponential(len(states))
     active = np.flatnonzero(e < ends[-1])
     segment = np.zeros(len(states), dtype=np.intp)  # each replica's, only moves forward
+    query = index_query(oracle) if D <= 63 else None
     if bounds is not None:
         bounds = bounds.ravel()
-        index = state_to_index(states)
+    index = None if query is None and bounds is None else state_to_index(states)
     while len(active):
         clock = e[active]
         # the last w with ends[w] <= clock, as searchsorted(ends, clock, "right") - 1
@@ -365,15 +371,18 @@ def _uniformize_chunk(
             # Rounding may carry a time past its segment's end; clamping
             # keeps every query at or below T - delta.
             t = np.minimum(times[seg] + (clock - ends[seg]) / betas[seg], times[seg + 1])
-            rates = oracle.ratio_all(t, states[rows])
+            rates = oracle.ratio_all(t, states[rows]) if query is None else query(t, index[rows])
             hit, flips = _jump(rates, betas[seg], None, u, stats)
             moved = rows[hit]
-            states[moved, flips] ^= 1
-            if bounds is not None:
+            if query is None:
+                states[moved, flips] ^= 1
+            if index is not None:
                 index[moved] ^= 1 << flips
         stats.queried_rows += len(rows)
         e[active] += rng.standard_exponential(len(active))
         active = active[e[active] < ends[-1]]
+    if query is not None:
+        states[:] = index_to_state(index, D)
     stats.poisson_events = int(stats.events_per_segment.sum())
     stats.score_evals = D * stats.poisson_events
     return stats
@@ -404,11 +413,13 @@ def _euler_chunk(
             states[hit, flips] ^= 1
         return stats
     stats.queried_rows = n_steps << D
-    grid = all_states(D)
+    query, grid = index_query(oracle), np.arange(1 << D)
+    if query is None:  # the same rows, as states
+        query, grid = oracle.ratio_all, all_states(D)
     index = state_to_index(states)
     for t, _, beta in steps:
         u = rng.random(n)
-        hit, flips = _jump(oracle.ratio_all(t, grid), beta, h, u, stats, index)
+        hit, flips = _jump(query(t, grid), beta, h, u, stats, index)
         index[hit] ^= 1 << flips
     states[:] = index_to_state(index, D)
     return stats

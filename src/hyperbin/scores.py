@@ -100,17 +100,35 @@ class ScoreOracle:
     oracle without `total_bounds` is queried on every event. It is
     deliberately not defined here: a delegating subclass that forwards
     unknown attributes (the benchmark's proxy) must reach the wrapped
-    oracle's.
+    oracle's, as a bound skips no wrapper.
+
+    Optionally too, `_ratio_index(t, index)` answers `ratio_all` for the
+    states with these int64 indices (D <= 63), bit for bit, with t
+    broadcast against them; the samplers then carry replicas as indices.
+    The exact oracle offers it on its shell table, and the perturbed oracle
+    with its noise table over an oracle that offers it. It is None here, so
+    a delegating subclass that changes or times `ratio_all` inherits None
+    and sees every query through `ratio_all`; :func:`index_query` reads it.
     """
 
     T: float
     n_bits: int
+    _ratio_index = None
 
     def ratio_all(self, t, states) -> np.ndarray:
         """Ratios for every flip: (B, D) array for (B, D) base states and
         per-row reverse times t in [0, T) (scalar or (B,)). A row's ratios
         depend only on its (t, state): repeated rows may be answered once."""
         raise NotImplementedError
+
+
+def index_query(oracle):
+    """The oracle's `_ratio_index` (see :class:`ScoreOracle`), or None.
+    It is looked up on the type first, so an object that forwards unknown
+    attributes never hands out the query of the oracle it wraps."""
+    if getattr(type(oracle), "_ratio_index", None) is None:
+        return None
+    return oracle._ratio_index
 
 
 def shell_table(initial: EmpiricalInitial) -> np.ndarray:
@@ -135,44 +153,25 @@ class ExactScoreOracle(ScoreOracle):
     """Exact ratios from an empirical initial distribution and horizon T.
 
     The shell table serves queries when P^2 >= 2^D and (D + 1) 2^D <=
-    _CHUNK_ELEMENTS, the support matmul otherwise. Measured ms per
-    `ratio_all` call (table/matmul; 2-vCPU Xeon VM, numpy 2.4.6, one BLAS
-    thread, random support, best of 5 calls, both columns in the same runs):
-
-        D   B     P=8        P=16       P=32       P=64       P=256
-        6   2000  0.38/0.48  0.41/0.63  0.41/0.96  0.43/1.57  -
-        10  520   0.20/0.19  0.18/0.19  0.19/0.29  0.21/0.45  0.26/1.71
-        12  520   0.23/0.18  0.22/0.22  0.26/0.33  0.27/0.50  0.30/1.58
-        16  2000  1.71/0.58  1.87/0.79  2.21/1.36  2.49/2.31  3.51/9.59
-
-    The table costs the same at any P (2.22 and 2.24 ms at D = 16, P = 8
-    and 256, alternated in one process; whole runs of this table varied up
-    to 2x on a shared host); the matmul grows with P. At D = 6 and 10 the
-    rule sits near the measured crossover (ties at P = 4 and P = 16).
-    Above that it is conservative: the table wins 1.3x at D = 12, P = 32,
-    and ties at D = 16, P = 64. Building the table takes 0.6 ms at D = 10,
-    3.1 ms at D = 12 and 56 ms at D = 16.
+    _CHUNK_ELEMENTS, the support matmul otherwise. The table costs the same
+    at any P and the matmul grows with P; at D = 6 and 10 the rule sits near
+    the measured crossover, and above that it is conservative.
 
     Table queries gather the shells of the state and its D neighbours
     into one (B, D + 1, D + 1) workspace per thread (the sampler's threads
-    share an oracle), in chunks of 2^18 shells. At B = 65536 chunks of
-    2^18 ran 1.1x (D = 6) to 1.5x (D = 12) faster than chunks of 2^24.
-    A scalar-t query looks each distinct state up once: 2000 rows at D = 6
-    take 143 us, 380 us per-row. Its callers are the Euler steps, the
-    exact-law helpers and score_entropy_loss; all of them but Euler's
-    per-row path (chunks of fewer than 4 * 2^D replicas) ask for
-    all_states(D), so only that path sends repeated rows.
-    Finding the distinct states takes O(B) through a per-thread (2^D,)
-    lookup: 5 us on 64 distinct rows, 36 us on 2000 rows of 64 states and
-    25 us on 4096 distinct rows, where np.unique took 16, 71 and 57 us
-    (best of 300).
+    share an oracle), in chunks of 2^18 shells. A scalar-t query looks each
+    distinct state up once, found in O(B) through a per-thread (2^D,)
+    lookup. Its callers are the exact-law helpers, score_entropy_loss and
+    Euler steps; all of them but Euler's per-row path (chunks of fewer than
+    4 * 2^D replicas) ask for all_states(D), so only that path sends
+    repeated rows.
 
     On the shell-table path the oracle also offers `total_bounds`, the
     per-segment, per-state bound on the total rate with which `sample`
-    skips events that cannot move (about 72% of them on the benchmark's
-    D = 6 and D = 12 workloads). Its (W, 2^D) table takes two (W, D + 1)
-    @ (D + 1, 2^D) products, one per `sample` call. A PerturbedScoreOracle
-    over this oracle builds its own bounds from the same two terms.
+    skips events that cannot move, from two (W, D + 1) @ (D + 1, 2^D)
+    products per `sample` call, and `_ratio_index`, the table query by
+    state index. A PerturbedScoreOracle over this oracle builds its own
+    bounds from the same two terms.
     """
 
     def __init__(self, initial: EmpiricalInitial, T: float):
@@ -190,6 +189,11 @@ class ExactScoreOracle(ScoreOracle):
             self._flips = np.append(0, 1 << np.arange(D))
             self._k0 = k0 = np.argmax(self._shells > 0, axis=1)
             self._exponents = np.maximum(np.arange(D + 1) - k0[:, None], -1).astype(np.int8)
+            # total_bounds' shells shifted to each state's lowest nonzero one,
+            # C'[y, j] = C[y, k0 + j], zero past shell D.
+            cols = k0[:, None] + np.arange(D + 1)
+            self._shifted = np.take_along_axis(self._shells, np.minimum(cols, D), axis=1)
+            self._shifted[cols > D] = 0.0
             self._chunk_rows = _TABLE_CHUNK_ELEMENTS // (D + 1) ** 2
             self._workspace = threading.local()
         else:
@@ -197,6 +201,7 @@ class ExactScoreOracle(ScoreOracle):
             self._ones = initial.states.astype(np.float64)
             self._zeros = 1.0 - self._ones
             self._chunk_rows = max(1, _CHUNK_ELEMENTS // P)
+            self._ratio_index = None  # only the shell table answers by index
 
     @property
     def uses_shell_table(self) -> bool:
@@ -211,16 +216,25 @@ class ExactScoreOracle(ScoreOracle):
         times = np.broadcast_to(np.asarray(t, dtype=np.float64), (B,))
         if (times < 0).any() or (times >= self.T).any():
             raise ValueError("reverse times must lie in [0, T)")
+        if not self.uses_shell_table:
+            return self._ratios(self._matmul_chunk, times, states)
+        index, inverse = states @ self._flips[1:], None
+        if np.ndim(t) == 0:  # one rho for all rows: look each distinct state up once
+            index, inverse = self._distinct(index)
+        out = self._ratios(self._table_chunk, times[: len(index)], index)
+        return out if inverse is None else out[inverse]
+
+    def _ratio_index(self, t, index) -> np.ndarray:
+        # ratio_all on the shell table for valid state indices and times,
+        # unchecked but for the finiteness of the result (see ScoreOracle)
+        return self._ratios(self._table_chunk, np.broadcast_to(t, index.shape), index)
+
+    def _ratios(self, ratio_chunk, times, rows) -> np.ndarray:
         # Only the per-bit odds rho = pf/ps of forward time T - t matter for
         # ratios; rho lies in (0, 1] and increases with T - t.
         pf = flip_probability(self.T - times)
         rho = pf / (1.0 - pf)
-        ratio_chunk, rows, inverse = self._matmul_chunk, states, None
-        if self.uses_shell_table:
-            ratio_chunk, rows = self._table_chunk, states @ self._flips[1:]  # state indices
-            if np.ndim(t) == 0:  # one rho for all rows: look each distinct state up once
-                rows, inverse = self._distinct(rows)
-        out = np.empty((len(rows), D))
+        out = np.empty((len(rows), self.n_bits))
         for lo in range(0, len(rows), self._chunk_rows):
             hi = min(len(rows), lo + self._chunk_rows)
             ratio_chunk(rho[lo:hi], rows[lo:hi], out[lo:hi])
@@ -228,7 +242,7 @@ class ExactScoreOracle(ScoreOracle):
             raise FloatingPointError(
                 "density ratio overflowed for some query; reverse time too close to T"
             )
-        return out if inverse is None else out[inverse]
+        return out
 
     def total_bounds(self, times) -> np.ndarray | None:
         """(W, 2^D) bounds on each state's total rate over each segment
@@ -263,10 +277,7 @@ class ExactScoreOracle(ScoreOracle):
         D, W = self.n_bits, len(times) - 1
         if not self.uses_shell_table or W << D > _BOUND_TABLE_ELEMENTS:
             return None
-        j = np.arange(D + 1)
-        cols = self._k0[:, None] + j
-        shifted = np.take_along_axis(self._shells, np.minimum(cols, D), axis=1)
-        shifted[cols > D] = 0.0
+        j, shifted = np.arange(D + 1), self._shifted
         pf = flip_probability(self.T - times)
         rho = pf / (1.0 - pf)
         rho_hi, rho_lo = rho[:-1], rho[1:, None]
@@ -360,20 +371,13 @@ class PerturbedScoreOracle(ScoreOracle):
     which bounds the table at 1 MB, the constructor hashes all of them once
     into a (TIME_BUCKETS, 2^D, D) table of exp(xi) and queries look their
     factors up; above that, every query hashes its rows. Both give the same
-    bits. The table takes 0.19 MB and 1.1 ms to build at D = 6, 1 MB and
-    4.6 ms at D = 8; only D = 6 is benchmarked. A 2000-row query at
-    D = 6 took 460 us with the table and 860 us hashing, of which the inner
-    exact oracle took 370 us (2-vCPU Xeon VM, numpy 2.4.6, best of 1000
-    calls).
+    bits.
 
-    With the table, over an `ExactScoreOracle` that offers bounds, the
-    oracle offers `total_bounds` too, from two (TIME_BUCKETS, 2^D) arrays
-    built with the table: 64 KB at D = 6, 256 KB at D = 8. Row totals
-    stayed within 0.9976 of the bound over D = 1-8, both caps and noise
-    0.5 and 2.0. On the benchmark's perturbed_tight_d6 (noise 0.5, tight
-    cap) `sample` queries 55% of its events; its 14-segment bounds take
-    0.11 ms per `sample` call, the exact oracle's 0.04 ms (same VM, best of
-    20).
+    With the table, the oracle offers `total_bounds` over an
+    `ExactScoreOracle` that offers bounds, from two (TIME_BUCKETS, 2^D)
+    arrays built with the table, and `_ratio_index` over an oracle whose
+    type offers it (see :func:`index_query`), so a proxy around the inner
+    oracle keeps seeing every query.
     """
 
     def __init__(self, inner: ScoreOracle, noise_scale: float, seed: int):
@@ -426,8 +430,19 @@ class PerturbedScoreOracle(ScoreOracle):
         ratios = self.inner.ratio_all(t, states)
         if self._noise_table is None:
             return ratios * np.exp(self.log_noise(t, states))
+        return self._noisy(ratios, t, state_to_index(states))
+
+    @property
+    def _ratio_index(self):
+        # looked up on every use, as the benchmark swaps `inner` for a proxy
+        inner = index_query(self.inner)
+        if self._noise_table is None or inner is None:
+            return None
+        return lambda t, index: self._noisy(inner(t, index), t, index)
+
+    def _noisy(self, ratios, t, index) -> np.ndarray:
         D = self.n_bits
-        rows = self._bucket(t) << D | state_to_index(states)  # rows of the flat table
+        rows = self._bucket(t) << D | index  # rows of the flat noise table
         return ratios * np.take(self._noise_table.reshape(-1, D), rows, axis=0)
 
     def total_bounds(self, times) -> np.ndarray | None:

@@ -29,7 +29,7 @@ from hyperbin.sampler import (
     exact_reverse_marginal,
     sample,
 )
-from hyperbin.scores import ExactScoreOracle, PerturbedScoreOracle, ScoreOracle
+from hyperbin.scores import ExactScoreOracle, PerturbedScoreOracle, ScoreOracle, index_query
 from hyperbin.verify import d6_instance, euler_law, g_test, uniformization_law
 
 
@@ -506,8 +506,8 @@ class TestSample:
         oracle = ExactScoreOracle(initial, config.T)
         n = 40_000
         start = sampler._initial_states(config, oracle, n, rng)
-        counts = np.bincount(state_to_index(start), minlength=16)
-        assert tv_exact(counts / n, marginal_at(initial, config.T)) < 0.02
+        G, threshold = g_test(start, marginal_at(initial, config.T))
+        assert G < threshold
 
     def test_exact_terminal_runs_above_dense_sizes(self):
         # D = 21 is beyond any dense 2^D law; bits flip independently, so
@@ -646,6 +646,92 @@ class TestKernelProperties:
             assert 0 < stats.queried_rows <= 0.6 * stats.poisson_events
 
 
+class CountingProxy(ForwardingProxy):
+    """Counts the rows passed to `ratio_all`."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.rows = 0
+
+    def ratio_all(self, t, states):
+        self.rows += len(states)
+        return super().ratio_all(t, states)
+
+
+def index_path_instances():
+    """(config, oracle) on the index path: the exact oracle at D = 6 and
+    D = 12, and the perturbed oracle at D = 6 under the tight cap."""
+    initial, config = d6_instance(seed=5)
+    exact = ExactScoreOracle(initial, config.T)
+    spec = QuantizerSpec.from_grid(d=2, L=1.0, K=64)
+    wide = random_initial(np.random.default_rng(12), spec.n_bits, 80)
+    wide_config = SamplerConfig(spec=spec, T=2.0, delta=0.01, seed=12, beta_mode="tight")
+    return [
+        (config, exact),
+        (wide_config, ExactScoreOracle(wide, wide_config.T)),
+        (replace(config, beta_mode="tight"), PerturbedScoreOracle(exact, 0.5, seed=77)),
+    ]
+
+
+def assert_same_run(got, want):
+    assert np.array_equal(got.states, want.states)
+    assert np.array_equal(got.x, want.x)
+    for field in fields(RunStats):
+        assert np.array_equal(getattr(got.stats, field.name), getattr(want.stats, field.name))
+
+
+class TestIndexPath:
+    @pytest.mark.parametrize("case", range(3))
+    def test_matches_the_row_path(self, case):
+        # a proxy inherits no index query, so it takes the row path
+        config, oracle = index_path_instances()[case]
+        proxy = CountingProxy(oracle)
+        assert index_query(oracle) is not None and index_query(proxy) is None
+        assert_same_run(sample(config, oracle, 500), sample(config, proxy, 500))
+        # the state path: at least 4 replicas per state
+        n = sampler.EULER_STATE_PATH_REPLICAS << config.n_bits
+        assert_same_run(euler_sample(config, oracle, 4, n), euler_sample(config, proxy, 4, n))
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_counts_every_row_asked(self, case):
+        config, oracle = index_path_instances()[case]
+        proxy = CountingProxy(oracle)
+        stats = sample(config, proxy, 500).stats
+        assert 0 < proxy.rows == stats.queried_rows < stats.poisson_events
+
+    def test_who_offers_the_query(self):
+        initial, config = d6_instance(seed=5)
+        exact = ExactScoreOracle(initial, config.T)
+        assert ScoreOracle._ratio_index is None
+        assert index_query(PerturbedScoreOracle(exact, 0.5, seed=1)) is not None
+        assert index_query(PerturbedScoreOracle(ForwardingProxy(exact), 0.5, seed=1)) is None
+        # D = 9 is above the noise table's cap
+        nine = ExactScoreOracle(random_initial(np.random.default_rng(9), 9, 40), 2.0)
+        assert index_query(nine) is not None
+        assert index_query(PerturbedScoreOracle(nine, 0.5, seed=1)) is None
+        few = ExactScoreOracle(random_initial(np.random.default_rng(9), 9, 4), 2.0)
+        assert not few.uses_shell_table and index_query(few) is None
+
+        class Forwarder:  # no ScoreOracle base: every attribute is forwarded
+            def __getattr__(self, attr):
+                return getattr(exact, attr)
+
+        assert index_query(Forwarder()) is None
+
+    def test_reports_overflow(self):
+        # as test_shared_time_queries_report_overflow: at T - t = 1e-310,
+        # 1/rho overflows, and the index query must report it
+        support = EmpiricalInitial(
+            states=np.array([[0, 0, 0], [1, 1, 0], [0, 1, 1]], np.uint8),
+            weights=np.array([0.3, 0.3, 0.4]),
+        )
+        table = ExactScoreOracle(support, T=1e-310)
+        for oracle in (table, PerturbedScoreOracle(table, 0.5, seed=1)):
+            for t in (0.0, np.zeros(8)):
+                with pytest.raises(FloatingPointError):
+                    index_query(oracle)(t, np.arange(8))
+
+
 class TestExactReverseMarginal:
     def test_endpoints(self, rng):
         initial = random_initial(rng, 4, 5)
@@ -778,11 +864,12 @@ class TestEulerSample:
 
     @pytest.mark.parametrize("n, table_chunks", [(63, 0), (64, 1), (200, 3)])
     def test_state_table_needs_four_replicas_per_state(self, n, table_chunks):
-        # D = 4: a chunk of at least 4 * 16 replicas builds the 16-state
-        # grid once and rates it at every step; in chunks of 64, n = 200
-        # runs three such chunks and one of 8 replicas on the per-row path
+        # D = 4: a chunk of at least 4 * 16 replicas carries its replicas
+        # as state indices, packed once, and rates the 16 states at every
+        # step; in chunks of 64, n = 200 runs three such chunks and one of 8
+        # replicas on the per-row path
         with mock.patch.object(sampler, "DEFAULT_CHUNK", 64), mock.patch.object(
-            sampler, "all_states", wraps=sampler.all_states
+            sampler, "state_to_index", wraps=sampler.state_to_index
         ) as spy:
             euler_sample(self.config, self.oracle, 8, n)
         assert spy.call_count == table_chunks
